@@ -35,7 +35,7 @@ from ..binfmt import LoadedProcess
 from ..cpu import ExecutionResult, make_emulator
 from ..cpu.events import CanaryClobbered, ControlFlowViolation, EmulationBudgetExceeded
 from ..defenses import ShadowStackCfi, StackCanary
-from ..mem import MemoryFault
+from ..mem import MemoryFault, Perm
 from .frames import NAME_BUFFER_SIZE, FrameModel
 from .outcomes import DaemonEvent, EventKind
 from .version import ConnmanVersion
@@ -53,6 +53,9 @@ TYPE_AAAA = 28
 #: function reference", §III-C2).  Word-aligned but unmapped, so a ROP
 #: chain that runs into it dies with SIGSEGV like the paper reports.
 CLOBBER_WORD = b"\x54\x55\xaa\xaa"
+
+#: Label set of a byte no wire offset reaches (taint's ``NO_LABELS``).
+_UNTAINTED: frozenset = frozenset()
 
 
 class _Drop(Exception):
@@ -257,84 +260,117 @@ class DnsProxyCore:
         """Expand a name into the stack buffer — the vulnerable routine.
 
         Returns the offset just past the name in the original byte stream.
-        Every ``memory.write`` below is a real store into the emulated
-        process stack.
+        The stores are Listing 1's, in its order, but the ones that fit the
+        writable stack from ``name_address`` up are gathered on the host and
+        land as one ``memory.write`` before the routine returns or drops the
+        reply.  The first store that does not fit is issued on its own, so
+        it faults exactly where the per-label copy would, after everything
+        before it has landed.
         """
         memory = self.loaded.process.memory
         taint = getattr(self.loaded.process, "taint", None)
+        room = memory.accessible_span(name_address, Perm.W)
+        run = bytearray()  # the stores that fit, as name_address[0:len(run)]
+        run_labels: List = []  # their per-byte labels, when taint is on
 
-        def wire(cursor_offset: int, count: int, note: str):
-            """Per-byte labels for copying wire bytes at ``cursor_offset``."""
-            if taint is None:
-                return None
-            return taint.wire_labels(cursor_offset, count,
-                                     address=name_address + name_len,
-                                     note=note)
+        def store(at: int, data: bytes, wire_offset: int, note: str) -> None:
+            labels = None
+            if taint is not None:
+                labels = taint.wire_labels(wire_offset, len(data),
+                                           address=name_address + at, note=note)
+            if at + len(data) <= room:
+                run[at:] = data  # replaces the previous label's over-copied byte
+                if taint is not None:
+                    run_labels[at:] = labels or (_UNTAINTED,) * len(data)
+                return
+            # Every later store ends past ``room`` too, so none joins the run.
+            flush()
+            memory.write(name_address + at, data, taint=labels)
+
+        def flush() -> None:
+            if run:
+                memory.write(name_address, bytes(run),
+                             taint=run_labels if taint is not None else None)
+                run.clear()
 
         patched = not self.version.is_vulnerable
         name_len = 0
         jumps = 0
         cursor = offset
         end: Optional[int] = None
-        while True:
-            if cursor >= len(packet):
-                raise _Drop("name runs past end of packet")
-            length = packet[cursor]
-            if length == 0:
-                memory.write_u8(name_address + name_len, 0,
-                                taint=wire(cursor, 1, "name terminator"))
-                return end if end is not None else cursor + 1
-            if length & 0xC0 == 0xC0:
-                if end is None:
-                    end = cursor + 2
-                jumps += 1
-                if jumps > MAX_POINTER_JUMPS:
-                    raise _Drop("compression pointer loop")
-                if cursor + 1 >= len(packet):
-                    raise _Drop("truncated pointer")
-                cursor = ((length & 0x3F) << 8) | packet[cursor + 1]
-                continue
-            if length & 0xC0:
-                raise _Drop(f"reserved label type {length:#04x}")
-            # NOTE: no check of `length` against the 63-byte RFC limit here —
-            # the vulnerable parser consumes the raw byte (up to 0xBF).
-            label_length = length
-            if patched and name_len + label_length + 2 > self.frame.buffer_size:
-                # The 1.35 fix: refuse to expand past the buffer.
-                raise _Drop("uncompressed name too long (patched bounds check)")
-            # Listing 1, line by line:
-            memory.write_u8(name_address + name_len, label_length,
-                            taint=wire(cursor, 1, "label length"))
-            name_len += 1
-            chunk = packet[cursor + 1 : cursor + 1 + label_length + 1]  # +1 over-copy
-            if len(chunk) < label_length:
-                raise _Drop("label runs past end of packet")
-            memory.write(name_address + name_len, chunk,
-                         taint=wire(cursor + 1, len(chunk), "label bytes"))
-            name_len += label_length
-            cursor += 1 + label_length
+        try:
+            while True:
+                if cursor >= len(packet):
+                    raise _Drop("name runs past end of packet")
+                length = packet[cursor]
+                if length == 0:
+                    store(name_len, b"\x00", cursor, "name terminator")
+                    return end if end is not None else cursor + 1
+                if length & 0xC0 == 0xC0:
+                    if end is None:
+                        end = cursor + 2
+                    jumps += 1
+                    if jumps > MAX_POINTER_JUMPS:
+                        raise _Drop("compression pointer loop")
+                    if cursor + 1 >= len(packet):
+                        raise _Drop("truncated pointer")
+                    cursor = ((length & 0x3F) << 8) | packet[cursor + 1]
+                    continue
+                if length & 0xC0:
+                    raise _Drop(f"reserved label type {length:#04x}")
+                # NOTE: no check of `length` against the 63-byte RFC limit
+                # here — the vulnerable parser consumes the raw byte (up to
+                # 0xBF).
+                label_length = length
+                if patched and name_len + label_length + 2 > self.frame.buffer_size:
+                    # The 1.35 fix: refuse to expand past the buffer.
+                    raise _Drop("uncompressed name too long (patched bounds check)")
+                # Listing 1, line by line:
+                store(name_len, bytes((label_length,)), cursor, "label length")
+                name_len += 1
+                chunk = packet[cursor + 1 : cursor + 1 + label_length + 1]  # +1 over-copy
+                if len(chunk) < label_length:
+                    raise _Drop("label runs past end of packet")
+                store(name_len, chunk, cursor + 1, "label bytes")
+                name_len += label_length
+                cursor += 1 + label_length
+        finally:
+            flush()
 
     def _read_back_name(self, place: FramePlacement) -> str:
-        """Benign read of the expanded name for the cache (bounded)."""
+        """Benign read of the expanded name for the cache (bounded).
+
+        One read covers every byte the label walk can reach: a length byte
+        below the bound and up to 63 label bytes after it.  When that window
+        is not all readable, the first read the walk would make past it is
+        issued on its own and faults.
+        """
         process = self.loaded.process
         memory = process.memory
         taint = getattr(process, "taint", None)
         shadowed = taint is not None and taint.shadow is not None
         labels: List[str] = []
         char_labels: List = []
-        cursor = place.name_address
-        limit = place.name_address + self.frame.buffer_size
+        start = place.name_address
+        limit = self.frame.buffer_size
+        window = memory.read(start, min(limit + 63,
+                                        memory.accessible_span(start, Perm.R)))
+        cursor = 0
         while cursor < limit:
-            length = memory.read_u8(cursor)
+            if cursor >= len(window):
+                memory.read_u8(start + cursor)
+            length = window[cursor]
             if length == 0 or length > 63:
                 break
-            labels.append(memory.read(cursor + 1, length).decode("latin-1"))
+            if cursor + 1 + length > len(window):
+                memory.read(start + cursor + 1, length)
+            labels.append(window[cursor + 1 : cursor + 1 + length].decode("latin-1"))
             if shadowed:
                 if len(labels) > 1:
                     # The '.' separator stands in for this label's length
                     # byte, so it inherits that byte's provenance.
-                    char_labels.append(taint.shadow.union(cursor, 1))
-                char_labels.extend(taint.shadow.read(cursor + 1, length))
+                    char_labels.append(taint.shadow.union(start + cursor, 1))
+                char_labels.extend(taint.shadow.read(start + cursor + 1, length))
             cursor += 1 + length
         name = ".".join(labels)
         if shadowed:

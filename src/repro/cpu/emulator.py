@@ -225,7 +225,10 @@ class Emulator:
             return ExecutionResult(stop.reason, steps, stop.detail)
         except (MemoryFault, CpuError) as fault:
             process.record_exit(code=139, signal=fault.signal)
-            return ExecutionResult("fault", steps, str(fault), fault=fault)
+            # Keep the fault, not its traceback: the frames would pin the
+            # dead boot (process, segments) for as long as the result lives.
+            return ExecutionResult("fault", steps, str(fault),
+                                   fault=fault.with_traceback(None))
         finally:
             observer = process.observer
             if profiler is not None:

@@ -146,6 +146,22 @@ class AddressSpace:
             span += seg.size
         return min(span, limit)
 
+    def accessible_span(self, address: int, perm: Perm) -> int:
+        """Bytes from ``address`` that one checked access needing ``perm``
+        can cover without faulting: contiguous mappings, each granting
+        ``perm``.  Zero when ``address`` itself would fault."""
+        address &= ADDRESS_MASK
+        segments = self._segments
+        index = bisect_right(self._bases, address) - 1
+        cursor = address
+        while 0 <= index < len(segments):
+            seg = segments[index]
+            if not seg.contains(cursor) or perm not in seg.perm:
+                break
+            cursor = seg.end
+            index += 1
+        return cursor - address
+
     def page_generation(self, page: int) -> int:
         """Write generation of one page (``address >> PAGE_SHIFT``)."""
         return self._page_gens.get(page, 0)

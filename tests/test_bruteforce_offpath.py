@@ -1,6 +1,8 @@
 """ASLR brute force and off-path spoofing."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -59,6 +61,25 @@ class TestBruteForce:
         assert not result.succeeded
         # Every attempt died at the canary, visibly.
         assert set(result.outcomes) == {"crashed"}
+
+    def test_crashed_boots_are_released(self):
+        """A crash's recorded fault must not pin its dead boot: after the
+        respawns, every earlier address space is garbage."""
+        victim = ConnmanDaemon(arch="x86", profile=WX_ASLR, rng=random.Random(5))
+        dead = []
+        respawn = victim.restart
+
+        def restart():
+            dead.append(weakref.ref(victim.loaded.process.memory))
+            respawn()
+
+        victim.restart = restart
+        result = AslrBruteForcer(victim, max_attempts=12, rng=random.Random(7)).run()
+        assert not result.succeeded and set(result.outcomes) == {"crashed"}
+        assert len(dead) == 11
+        assert all(event.execution.fault is not None for event in victim.events)
+        gc.collect()
+        assert [ref() for ref in dead] == [None] * len(dead)
 
     def test_arm_victim_rejected(self):
         with pytest.raises(ValueError):

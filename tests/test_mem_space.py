@@ -170,6 +170,23 @@ class TestReadWrite:
         assert space.read_cstring(0x1300, limit=16) == b"A" * 16
 
 
+    def test_accessible_span_follows_adjacent_segments(self):
+        space = AddressSpace()
+        space.map_new("a", 0x1000, 0x1000, Perm.RW)
+        space.map_new("b", 0x2000, 0x1000, Perm.RW)
+        space.map_new("ro", 0x3000, 0x1000, Perm.R)
+        space.map_new("far", 0x5000, 0x1000, Perm.RW)
+        assert space.accessible_span(0x1800, Perm.W) == 0x1800
+        assert space.accessible_span(0x1800, Perm.R) == 0x2800
+        assert space.accessible_span(0x3000, Perm.W) == 0
+        assert space.accessible_span(0x4000, Perm.R) == 0
+        assert space.accessible_span(0x5FFF, Perm.W) == 1
+        # The span is exactly what one checked access can cover.
+        space.write(0x1800, b"\x00" * 0x1800)
+        with pytest.raises(AccessViolation):
+            space.write(0x1800, b"\x00" * 0x1801)
+
+
 class TestFind:
     def test_find_locates_all_occurrences(self):
         space = make_space()
