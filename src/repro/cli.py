@@ -144,6 +144,17 @@ def _add_arch(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--arch", choices=("x86", "arm"), default="x86")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_level(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--level", choices=sorted(LEVELS), default="none",
                         help="victim protection level")
@@ -736,12 +747,8 @@ def cmd_bench(args) -> int:
             handle.write(text + "\n")
         print(f"wrote {args.emit}")
     for entry in payload["benchmarks"]:
-        if entry["kind"] == "blocks":
-            detail = (f"{entry['block_step_share']:.1%} of steps through "
-                      f"compiled blocks")
-        else:
-            detail = f"{entry['decode_call_ratio']:.1f}x fewer decode() calls"
-        print(f"BENCH {entry['name']}: {detail}, "
+        print(f"BENCH {entry['name']}: "
+              f"{entry['decode_call_ratio']:.1f}x fewer decode() calls, "
               f"{entry['wall_speedup']:.2f}x wall speedup "
               f"({entry['cached']['steps_per_s']:,.0f} steps/s cached)")
     # Correctness leg of the gate: a repro-results/v1 artifact from a
@@ -1029,8 +1036,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.set_defaults(run=cmd_chaos)
 
     bench = subparsers.add_parser(
-        "bench", help="emulator microbenchmark (decode cache + superblocks)")
-    bench.add_argument("--steps", type=int, default=12_000,
+        "bench", help="emulator microbenchmark (decode cache on vs off)")
+    bench.add_argument("--steps", type=_positive_int, default=12_000,
                        help="emulated instructions per measurement")
     bench.add_argument("--emit", metavar="PATH",
                        help="write the repro-bench/v2 JSON baseline to PATH")
@@ -1045,7 +1052,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "trial must be pass/expected")
     bench.add_argument("--profile", action="store_true",
                        help="also print deterministic cost attribution "
-                            "(per-opcode/per-block) next to the wall numbers; "
+                            "(per-opcode) next to the wall numbers; "
                             "in --compare mode it rides into the trajectory "
                             "entry")
     bench.set_defaults(run=cmd_bench)
@@ -1107,7 +1114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = subparsers.add_parser(
         "profile", help="deterministic cost attribution for one observed "
-                        "scenario (opcodes, blocks, caches, flamegraphs)")
+                        "scenario (opcodes, caches, flamegraphs)")
     _add_attack_args(profile)
     profile.add_argument("--scenario", choices=("attack", "crash", "chaos"),
                          default="attack",

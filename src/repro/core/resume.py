@@ -54,7 +54,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 CHECKPOINT_SCHEMA = "repro-sweep-checkpoint/v1"
 
@@ -199,6 +199,26 @@ def _decode_payload(record: Dict[str, Any]) -> Any:
     return _RestrictedUnpickler(io.BytesIO(blob)).load()
 
 
+def _journal_record(line: str) -> Optional[Tuple[int, Any]]:
+    """``(index, result)`` from one journal trial line, or ``None``.
+
+    A SIGKILL mid-write leaves at most one torn trailing line, and a
+    hand-edited journal can carry lines of any JSON shape; either way
+    the line is skipped and that trial simply re-executes.
+    """
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    if (not isinstance(record, dict) or not isinstance(record.get("index"), int)
+            or not isinstance(record.get("payload"), str)):
+        return None
+    try:
+        return record["index"], _decode_payload(record)
+    except (KeyError, ValueError, binascii.Error, pickle.UnpicklingError):
+        return None
+
+
 class SweepCheckpoint:
     """Append-only JSONL journal of a sweep's completed trials.
 
@@ -253,6 +273,9 @@ class SweepCheckpoint:
         except json.JSONDecodeError:
             raise CheckpointMismatch(
                 f"checkpoint {self.path}: unreadable header line")
+        if not isinstance(header, dict):
+            raise CheckpointMismatch(
+                f"checkpoint {self.path}: header line is not an object")
         for key, expected in (("schema", CHECKPOINT_SCHEMA),
                               ("experiment", self.experiment),
                               ("grid_hash", self.grid_hash),
@@ -264,17 +287,9 @@ class SweepCheckpoint:
                     "belongs to a different sweep; remove it or fix the args")
         self._header_seen = True
         for line in lines[1:]:
-            try:
-                record = json.loads(line)
-                index = record["index"]
-                result = _decode_payload(record)
-            except (json.JSONDecodeError, KeyError, ValueError,
-                    binascii.Error, pickle.UnpicklingError):
-                # A SIGKILL mid-write leaves at most one torn trailing
-                # line; that trial simply re-executes.
-                continue
-            if isinstance(index, int) and 0 <= index < self.total:
-                self.completed[index] = result
+            entry = _journal_record(line)
+            if entry is not None and 0 <= entry[0] < self.total:
+                self.completed[entry[0]] = entry[1]
 
     # -- journaling ------------------------------------------------------------
 
@@ -372,6 +387,9 @@ def validate_results(header: Dict[str, Any],
             f"results header: total={header['total']} but artifact carries "
             f"{len(rows)} row(s)")
     for position, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(
+                f"results row {position}: must be an object, got {row!r}")
         for field_name, kind in _RESULTS_ROW_FIELDS:
             value = row.get(field_name)
             if not isinstance(value, kind) or (
@@ -434,10 +452,7 @@ def load_checkpoint_results(path: str) -> Dict[int, Any]:
         lines = handle.read().splitlines()
     completed: Dict[int, Any] = {}
     for line in lines[1:]:
-        try:
-            record = json.loads(line)
-            completed[record["index"]] = _decode_payload(record)
-        except (json.JSONDecodeError, KeyError, ValueError,
-                binascii.Error, pickle.UnpicklingError):
-            continue
+        entry = _journal_record(line)
+        if entry is not None:
+            completed[entry[0]] = entry[1]
     return completed

@@ -1,6 +1,5 @@
 """CPU substrate: x86 and ARMv7 assemblers, decoders and emulators."""
 
-from .blocks import MAX_BLOCK_LEN, Block, BlockCache
 from .cache import DecodeCache
 from .emulator import DEFAULT_STEP_BUDGET, Emulator, ExecutionResult, make_emulator
 from .events import (
@@ -26,8 +25,6 @@ from .registers import (
 
 __all__ = [
     "ARM",
-    "Block",
-    "BlockCache",
     "CanaryClobbered",
     "check_arch",
     "ControlFlowViolation",
@@ -44,7 +41,6 @@ __all__ = [
     "make_emulator",
     "make_registers",
     "make_x86_registers",
-    "MAX_BLOCK_LEN",
     "NativeCallContext",
     "NativeFunction",
     "NativeHandler",

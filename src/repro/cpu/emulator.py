@@ -130,11 +130,8 @@ class Emulator:
         process = self.process
         trace = getattr(process, "trace", None)
         cache = process.decode_cache
-        blocks = process.block_cache
         cache_before = (cache.hits, cache.misses, cache.invalidations,
                         cache.epoch_flushes)
-        blocks_before = (blocks.hits, blocks.misses, blocks.invalidations,
-                         blocks.epoch_flushes, blocks.native_flushes)
         timer = self.step_timer
         profiler = getattr(process, "profiler", None)
         taint = getattr(process, "taint", None)
@@ -143,17 +140,6 @@ class Emulator:
             # function of each run's completed-step count, so sweep
             # workers merge byte-identical to the sequential sweep.
             profiler.begin_run()
-        # Block dispatch is outcome-identical but not *observation*-identical
-        # at instruction granularity, so tracing and per-step timing force
-        # the per-instruction path: traces and step histograms stay exact.
-        # The profiler deliberately does NOT force the fallback — blocks
-        # carry their mnemonic/address lines, so block dispatch sums into
-        # the same per-opcode totals single-stepping would produce and
-        # step_timer.count == summed profiler steps on the same workload.
-        # Taint DOES force it: label propagation needs each instruction's
-        # pre-step register file, which block dispatch never materializes.
-        use_blocks = (blocks.enabled and trace is None and timer is None
-                      and taint is None)
         steps = 0
         try:
             while steps < max_steps:
@@ -172,36 +158,6 @@ class Emulator:
                     if profiler is not None:
                         profiler.record_native(process, native, pc)
                     continue
-                if use_blocks:
-                    builds_before = blocks.builds if profiler is not None else 0
-                    block = blocks.fetch(self, process.pc)
-                    if profiler is not None and block is not None \
-                            and blocks.builds != builds_before:
-                        profiler.record_build(block)
-                    if (block is not None
-                            and steps + block.length <= max_steps
-                            and (profiler is None
-                                 or profiler.admits_block(block.length))):
-                        # A whole block fits in the remaining budget; one
-                        # that doesn't falls through to single stepping so
-                        # EmulationBudgetExceeded fires at exactly max_steps.
-                        # Same rule for a profiler sample boundary: a block
-                        # that would cross it is declined so the sample
-                        # observes exact per-step architectural state.
-                        try:
-                            executed = block.execute(process)
-                        except BaseException:
-                            steps += block.executed
-                            blocks.steps += block.executed
-                            if profiler is not None:
-                                profiler.record_block(process, block,
-                                                      block.executed)
-                            raise
-                        steps += executed
-                        blocks.steps += executed
-                        if profiler is not None:
-                            profiler.record_block(process, block, executed)
-                        continue
                 if trace is not None:
                     trace.record(process.pc, "insn", self._peek_text(process.pc))
                 # Snapshot the register file the instruction will *read*
@@ -241,23 +197,12 @@ class Emulator:
                         cache.invalidations - cache_before[2],
                     "decode_cache_epoch_flushes":
                         cache.epoch_flushes - cache_before[3],
-                    "block_cache_hits": blocks.hits - blocks_before[0],
-                    "block_cache_misses": blocks.misses - blocks_before[1],
-                    "block_cache_invalidations":
-                        blocks.invalidations - blocks_before[2],
-                    "block_cache_epoch_flushes":
-                        blocks.epoch_flushes - blocks_before[3],
-                    "block_cache_native_flushes":
-                        blocks.native_flushes - blocks_before[4],
                 }
                 if profiler is not None:
                     profiler.record_cache(deltas)
                 if observer is not None:
                     for name, delta in deltas.items():
                         observer.inc(name, delta)
-                    for length in blocks.built_lengths:
-                        observer.observe("block.length", length)
-                    blocks.built_lengths.clear()
 
 
 def make_emulator(process: Process) -> Emulator:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..mem import AddressSpace
-from .blocks import BlockCache
 from .cache import DecodeCache
 from .isa import check_arch
 from .registers import RegisterFile, make_registers, pc_register, sp_register
@@ -70,27 +69,20 @@ class Process:
         #: Decoded-instruction cache shared by every emulator run over this
         #: process (write-invalidated; see :mod:`repro.cpu.cache`).
         self.decode_cache = DecodeCache(memory)
-        #: Bumped on every ``register_native`` — compiled superblocks are
-        #: keyed on it so a native handler registered mid-run is never
-        #: skipped by an already-compiled straight line.
-        self.native_version = 0
-        #: Compiled-superblock cache layered over the decode cache
-        #: (see :mod:`repro.cpu.blocks`).
-        self.block_cache = BlockCache(self)
         #: Optional obs Collector — the process's trace context.  The
         #: emulator flushes decode-cache counters into it, nests each run
         #: under a ``cpu.run`` span on its tracer, and captures crash
         #: postmortems through it when a run faults.
         self.observer = None
         #: Optional :class:`~repro.obs.profiler.DeterministicProfiler`;
-        #: the emulator attributes per-opcode/per-block cost and takes
-        #: guest stack samples through it when set.  Read-only over
-        #: guest state: profiled runs are outcome-identical.
+        #: the emulator attributes per-opcode cost and takes guest stack
+        #: samples through it when set.  Read-only over guest state:
+        #: profiled runs are outcome-identical.
         self.profiler = None
         #: Optional :class:`~repro.obs.taint.TaintEngine`; the emulator
         #: propagates byte-level labels through each executed instruction
-        #: when set (per-step dispatch, like tracing).  Read-only over
-        #: guest state: tainted runs are outcome-identical.
+        #: when set.  Read-only over guest state: tainted runs are
+        #: outcome-identical.
         self.taint = None
         self._pc_name = pc_register(arch)
         self._sp_name = sp_register(arch)
@@ -153,7 +145,6 @@ class Process:
 
     def register_native(self, address: int, function: "NativeFunctionType") -> None:
         self.native[address] = function
-        self.native_version += 1
 
     def native_at(self, address: int) -> Optional["NativeFunctionType"]:
         return self.native.get(address & 0xFFFFFFFF)

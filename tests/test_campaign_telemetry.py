@@ -375,22 +375,10 @@ class TestBenchGate:
         assert entry["schema"] == "repro-bench-trajectory/v1"
         assert entry["compare_ok"] is True
         assert {b["name"] for b in entry["benchmarks"]} == {
-            "x86-tight-loop", "arm-tight-loop",
-            "x86-tight-loop-blocks", "arm-tight-loop-blocks"}
-        by_name = {b["name"]: b for b in entry["benchmarks"]}
-        assert "decode_call_ratio" in by_name["x86-tight-loop"]
-        assert "block_step_share" in by_name["x86-tight-loop-blocks"]
-
-    def test_block_dispatch_floor_regression_fails(self):
-        old = collect_baseline(steps=1200)
-        new = json.loads(json.dumps(old))
-        for entry in new["benchmarks"]:
-            if entry["kind"] == "blocks":
-                entry["block_step_share"] -= 0.01  # past the 0.005 tolerance
-        result = compare_baseline(old, new)
-        assert not result["ok"]
-        assert any(c["check"] == "block_dispatch_floor" and not c["ok"]
-                   for c in result["checks"])
+            "x86-tight-loop", "arm-tight-loop"}
+        for benchmark in entry["benchmarks"]:
+            assert benchmark["kind"] == "decode-cache"
+            assert "decode_call_ratio" in benchmark
 
     def test_bench_cli_gate_pass_and_fail(self, tmp_path, capsys, monkeypatch):
         # The gate's verdict on live wall-clock ratios is noise; it is
@@ -437,6 +425,35 @@ class TestBenchGate:
         bad.write_text(json.dumps({"schema": "nope", "benchmarks": []}))
         assert main(["bench", "--steps", "1200", "--compare", str(bad)]) == 1
         assert "failed validation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate", [
+        lambda payload: payload["benchmarks"].append(7),
+        lambda payload: payload["benchmarks"][0]["cached"].update(wall_s="fast"),
+        lambda payload: payload["benchmarks"][0].update(baseline=[1]),
+        lambda payload: payload["benchmarks"][0].update(decode_call_ratio=None),
+        lambda payload: payload["benchmarks"][0].pop("name"),
+    ], ids=["entry-not-object", "wall-not-number", "side-not-object",
+            "ratio-not-number", "no-name"])
+    def test_bench_cli_hostile_baseline_fails_validation(
+            self, tmp_path, capsys, monkeypatch, mutate):
+        import repro.core
+
+        recorded = json.loads(RECORDED_BENCH.read_text())
+        monkeypatch.setattr(repro.core, "collect_baseline",
+                            lambda steps: json.loads(json.dumps(recorded)))
+        mutate(recorded)
+        hostile = tmp_path / "hostile.json"
+        hostile.write_text(json.dumps(recorded))
+        assert main(["bench", "--compare", str(hostile),
+                     "--trajectory", str(tmp_path / "t.jsonl")]) == 1
+        assert "failed validation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", ["0", "-5", "many"])
+    def test_bench_cli_rejects_steps_below_one(self, steps, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--steps", steps])
+        assert exit_info.value.code == 2
+        assert "--steps" in capsys.readouterr().err
 
     def test_trace_events_cli_rejects_negative_limit(self, capsys):
         assert main(["trace-events", "--limit", "-2"]) == 2

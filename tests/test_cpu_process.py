@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.cpu import NativeFunction, Process, make_emulator
+from repro.cpu import NativeFunction, Process, TraceRecorder, make_emulator
 from repro.cpu.native import NativeCallContext
 from repro.cpu.syscalls import ENOSYS, dispatch
 from repro.cpu.events import _EmulationStop
 from repro.cpu.x86 import asm as x86
 from repro.cpu.arm import asm as arm
-from repro.mem import AddressSpace, Perm
+from repro.mem import AddressSpace, Perm, Segment, WxViolation
 
 
 def make_process(arch="x86"):
@@ -181,3 +181,241 @@ class TestNativeAbi:
         process.registers["r7"] = 1  # exit(r0)
         result = make_emulator(process).run()
         assert result.reason == "exit"
+
+
+def loaded_process(arch, segments, code_at):
+    space = AddressSpace()
+    for segment in segments:
+        space.map(segment)
+    for address, code in code_at.items():
+        space.write(address, code, check=False)
+    return Process(arch, space, name="run-loop-test")
+
+
+TIGHT_LOOP = b"\x40" * 8 + b"\xeb\xf6"  # 8x inc eax; jmp -10
+
+
+def tight_loop_process():
+    process = loaded_process("x86", [Segment(".text", 0x1000, 0x100, Perm.RX)],
+                             {0x1000: TIGHT_LOOP})
+    process.pc = 0x1000
+    return process
+
+
+class TestRunLoop:
+    """Run-loop behaviour every guest run depends on."""
+
+    def test_budget_exceeded_at_exactly_max_steps(self):
+        process = tight_loop_process()
+        result = make_emulator(process).run(max_steps=30)
+        assert result.reason == "fault"
+        assert result.signal == "SIGKILL"
+        assert result.steps == 30
+        # 30 = 3 loop iterations (8 inc + jmp) + 3 more incs.
+        assert process.registers["eax"] == 27
+        assert process.pc == 0x1003
+
+    @pytest.mark.parametrize("max_steps", [1, 8, 9, 10, 17, 27, 100])
+    def test_budget_state_at_any_step_count(self, max_steps):
+        process = tight_loop_process()
+        result = make_emulator(process).run(max_steps=max_steps)
+        laps, rest = divmod(max_steps, 9)
+        assert (result.reason, result.signal, result.steps) == \
+            ("fault", "SIGKILL", max_steps)
+        assert process.registers["eax"] == laps * 8 + rest
+        assert process.pc == 0x1000 + rest
+
+    def test_arm_tight_loop_runs_to_exactly_max_steps(self):
+        code = (
+            arm.add_imm("r0", "r0", 1)
+            + arm.add_imm("r1", "r1", 2)
+            + arm.eor_reg("r2", "r2", "r0")
+            + arm.b(0x1000C, 0x10000)
+        )
+        process = loaded_process("arm", [Segment(".text", 0x10000, 0x1000, Perm.RX)],
+                                 {0x10000: code})
+        process.pc = 0x10000
+        result = make_emulator(process).run(max_steps=101)
+        assert (result.signal, result.steps) == ("SIGKILL", 101)
+        # 25 laps of 4 instructions, then the add r0 of lap 26.
+        assert process.registers["r0"] == 26
+        assert process.registers["r1"] == 50
+        assert process.pc == 0x10004
+
+    def test_trace_recorder_records_every_step(self):
+        process = tight_loop_process()
+        process.trace = TraceRecorder()
+        make_emulator(process).run(max_steps=40)
+        assert len(process.trace.entries) == 40
+
+    def test_native_registered_mid_run_is_dispatched(self):
+        code = x86.nop() * 4 + x86.hlt()
+        process = loaded_process("x86", [Segment(".text", 0x1000, 0x100, Perm.RX)],
+                                 {0x1000: code})
+        emulator = make_emulator(process)
+        # Warm the decode cache over every instruction first.
+        process.pc = 0x1000
+        emulator.run(max_steps=20)
+        calls = []
+
+        def probe(context):
+            calls.append("probe")
+            context.process.pc = 0x1004  # jump straight to the hlt
+
+        def installer(context):
+            calls.append("installer")
+            context.process.register_native(0x1002, NativeFunction("probe", probe))
+            context.process.pc = 0x1001
+
+        process.register_native(0x1000, NativeFunction("installer", installer))
+        process.pc = 0x1000
+        result = emulator.run(max_steps=20)
+        # installer, nop at 0x1001, probe; the hlt then faults.
+        assert calls == ["installer", "probe"]
+        assert result.reason == "fault" and result.steps == 3
+
+    def test_step_timer_times_natives(self):
+        """The step timer observes every dispatch, native calls included."""
+
+        class Recorder:
+            def __init__(self):
+                self.count = 0
+
+            def observe(self, value):
+                self.count += 1
+
+        calls = []
+
+        def handler(context):
+            calls.append(context.process.pc)
+            return 0
+
+        process = loaded_process(
+            "x86",
+            [Segment(".text", 0x1000, 0x100, Perm.RX),
+             Segment("stack", 0x20000, 0x1000, Perm.RW)],
+            {0x1000: x86.push_imm32(0x100A)      # return address: the nops
+             + x86.jmp_rel32(0x1005, 0x5000)     # "call" the native
+             + x86.nop() * 3
+             + x86.hlt()},
+        )
+        process.register_native(0x5000, NativeFunction("stub", handler))
+        process.registers["esp"] = 0x20800
+        process.pc = 0x1000
+        emulator = make_emulator(process)
+        timer = Recorder()
+        emulator.step_timer = timer
+        result = emulator.run(max_steps=50)
+        assert calls  # the native actually ran
+        assert result.reason == "fault"
+        # push, jmp, native invoke, 3 nops; the hlt fault ends the run.
+        assert timer.count == result.steps == 6
+
+    @pytest.mark.parametrize("first,second,taken", [
+        ("xor", "inc", False),  # inc eax leaves 1: ZF clear
+        ("inc", "xor", True),   # xor eax, eax leaves 0: ZF set
+    ], ids=["inc-last", "xor-last"])
+    def test_jz_sees_flags_from_last_writer(self, first, second, taken):
+        writers = {"xor": x86.xor_reg_reg("eax", "eax"), "inc": x86.inc_reg("eax")}
+        body = writers[first] + writers[second]
+        jz_at = 0x1000 + len(body)
+        code = body + x86.jz_rel8(jz_at, 0x1020) + x86.inc_reg("edx") + x86.hlt()
+        process = loaded_process(
+            "x86", [Segment(".text", 0x1000, 0x100, Perm.RX)],
+            {0x1000: code, 0x1020: x86.inc_reg("ecx") + x86.hlt()})
+        process.pc = 0x1000
+        make_emulator(process).run(max_steps=20)
+        assert process.registers["ecx"] == int(taken)
+        assert process.registers["edx"] == int(not taken)
+
+    def test_flags_and_registers_at_fault(self):
+        code = (
+            x86.xor_reg_reg("eax", "eax")    # ZF=1
+            + x86.inc_reg("eax")             # ZF=0
+            + x86.mov_mem_reg("ebx", "eax")  # faults: ebx unmapped
+            + x86.hlt()
+        )
+        process = loaded_process("x86", [Segment(".text", 0x1000, 0x100, Perm.RX)],
+                                 {0x1000: code})
+        process.registers["ebx"] = 0xDEAD0000
+        process.pc = 0x1000
+        result = make_emulator(process).run(max_steps=20)
+        assert (result.reason, result.signal, result.steps) == ("fault", "SIGSEGV", 2)
+        # pc is architectural at the fault: the store's own address.
+        assert process.registers["eip"] == 0x1003
+        assert process.registers["eax"] == 1
+        assert not process.registers["eflags"] & (1 << 6)
+
+    def test_arm_flags_and_registers_at_fault(self):
+        code = (
+            arm.mov_imm("r0", 0x44)
+            + arm.cmp_imm("r0", 0x44)        # sets Z
+            + arm.ldr("r5", "r6")            # faults: r6 unmapped
+        )
+        process = loaded_process("arm", [Segment(".text", 0x10000, 0x1000, Perm.RX)],
+                                 {0x10000: code})
+        process.registers["r6"] = 0xDEAD0000
+        process.pc = 0x10000
+        result = make_emulator(process).run(max_steps=10)
+        assert (result.reason, result.signal, result.steps) == ("fault", "SIGSEGV", 2)
+        assert process.registers["r15"] == 0x10008
+        assert process.registers["cpsr"] & (1 << 30)
+
+    def test_store_modifying_own_code_executes_new_bytes(self):
+        target = 0x1000 + 5 + 2  # address of the inc edx
+        code = (
+            x86.mov_reg_imm32("eax", 0x41)   # inc ecx opcode in the low byte
+            + x86.mov_mem_reg("ebx", "eax")  # overwrite the inc edx below
+            + x86.inc_reg("edx")
+            + x86.hlt()
+        )
+        process = loaded_process("x86", [Segment("rwx", 0x1000, 0x1000, Perm.RWX)],
+                                 {0x1000: code})
+        emulator = make_emulator(process)
+        # First pass stores to scratch, so the inc edx is decoded and cached.
+        process.registers["ebx"] = 0x1800
+        process.pc = 0x1000
+        emulator.run(max_steps=20)
+        assert (process.registers["ecx"], process.registers["edx"]) == (0, 1)
+        process.registers["ebx"] = target
+        process.pc = 0x1000
+        emulator.run(max_steps=20)
+        assert (process.registers["ecx"], process.registers["edx"]) == (1, 1)
+
+    def test_arm_store_modifying_own_code_executes_new_bytes(self):
+        # r0 holds the encoding of "add r2, r2, 1"; str r0, [r1] overwrites
+        # the "add r3, r3, 1" two slots later.
+        patch = int.from_bytes(arm.add_imm("r2", "r2", 1), "little")
+        code = (
+            arm.str_("r0", "r1")
+            + arm.add_imm("r4", "r4", 1)
+            + arm.add_imm("r3", "r3", 1)     # <- replaced before it executes
+            + arm.mov_imm("r7", 1)
+            + arm.svc()                      # exit
+        )
+        process = loaded_process("arm", [Segment("rwx", 0x10000, 0x1000, Perm.RWX)],
+                                 {0x10000: code})
+        emulator = make_emulator(process)
+        process.registers["r0"] = patch
+        # First pass stores to scratch, so the add r3 is decoded and cached.
+        process.registers["r1"] = 0x10800
+        process.pc = 0x10000
+        assert emulator.run(max_steps=10).reason == "exit"
+        process.registers["r1"] = 0x10008
+        process.pc = 0x10000
+        assert emulator.run(max_steps=10).reason == "exit"
+        assert process.registers["r2"] == 1
+        assert process.registers["r3"] == 1  # from the first pass only
+        assert process.registers["r4"] == 2
+
+    def test_wx_enforced_by_run_loop(self):
+        space = AddressSpace()
+        space.map(Segment("data", 0x1000, 0x100, Perm.RW))
+        space.write(0x1000, b"\x40")
+        process = Process("x86", space)
+        process.pc = 0x1000
+        result = make_emulator(process).run(max_steps=10)
+        assert (result.reason, result.signal, result.steps) == ("fault", "SIGSEGV", 0)
+        assert isinstance(result.fault, WxViolation)
+        assert process.registers["eax"] == 0
+        assert len(process.decode_cache) == 0

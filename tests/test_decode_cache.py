@@ -1,4 +1,7 @@
-"""Decode cache, fetch-window, reg8 aliasing, and unmap semantics."""
+"""Decode cache, fetch-window, reg8 aliasing, unmap semantics, and outcome
+parity across cache settings and worker counts."""
+
+import json
 
 import pytest
 
@@ -311,3 +314,40 @@ class TestOutcomeParity:
         without_cache = run_bruteforce_trial(trial)
         assert with_cache == without_cache
         assert with_cache.succeeded
+
+    def test_scenarios_match_at_two_workers(self):
+        from repro.core import PAPER_MATRIX, run_tasks
+
+        scenarios = PAPER_MATRIX[:3]
+        sequential = run_tasks(_scenario_row, scenarios, workers=1)
+        parallel = run_tasks(_scenario_row, scenarios, workers=2)
+        assert parallel == sequential
+        assert sequential == self._scenario_outcomes()
+
+    def test_bruteforce_match_at_two_workers(self):
+        from repro.core import run_tasks
+        from repro.exploit import BruteForceTrial, run_bruteforce_trial
+
+        trials = [BruteForceTrial(victim_seed=seed, attacker_seed=seed + 1,
+                                  max_attempts=256, entropy_pages=16)
+                  for seed in (7, 9)]
+        sequential = run_tasks(run_bruteforce_trial, trials, workers=1)
+        parallel = run_tasks(run_bruteforce_trial, trials, workers=2)
+        assert parallel == sequential
+        assert sequential[0].succeeded
+
+    def test_chaos_sweep_byte_identical_at_two_workers(self):
+        from repro.core import run_chaos_sweep
+
+        kwargs = dict(queries_per_rate=6, attack_budget=6)
+        sequential = run_chaos_sweep((0.0, 0.4), workers=1, **kwargs)
+        parallel = run_chaos_sweep((0.0, 0.4), workers=2, **kwargs)
+        assert json.dumps(parallel.to_dict(), sort_keys=True) == \
+            json.dumps(sequential.to_dict(), sort_keys=True)
+
+
+def _scenario_row(scenario):
+    """Worker for the parity test: one scenario's table row."""
+    from repro.core import run_scenario
+
+    return run_scenario(scenario).row()

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.core import (
     REGISTRY,
     e1_dos,
@@ -176,6 +177,17 @@ class TestResultsArtifact:
         rows[0]["index"] = 7
         with pytest.raises(ValueError, match="row 0"):
             validate_results(run.artifact_header(), rows)
+
+    @pytest.mark.parametrize("line", ["[1]", "7", '"row"', "null"])
+    def test_loader_rejects_non_object_row(self, tmp_path, capsys, line):
+        _, path = _artifact(tmp_path)
+        lines = Path(path).read_text().splitlines()
+        lines[2] = line
+        Path(path).write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="row 1: must be an object"):
+            load_results(path)
+        assert main(["report", "--results", path]) == 2
+        assert "row 1: must be an object" in capsys.readouterr().err
 
     def test_loader_rejects_tampered_file(self, tmp_path):
         _, path = _artifact(tmp_path)

@@ -306,6 +306,32 @@ class TestCheckpoint:
                              total=2, resume=True) as journal:
             assert journal.completed == {0: 100}
 
+    @pytest.mark.parametrize("line", ["[1]", "7", '"trial"', "null",
+                                      '{"index": 1, "crc": 0, "payload": 5}',
+                                      '{"index": [1], "crc": 0, "payload": ""}'])
+    def test_non_object_record_lines_are_skipped(self, tmp_path, line):
+        path = str(tmp_path / "sweep.ckpt")
+        digest = grid_hash([10, 11])
+        with SweepCheckpoint(path, experiment="unit", grid_hash=digest,
+                             total=2) as journal:
+            journal.record(0, 100)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        assert load_checkpoint_results(path) == {0: 100}
+        with SweepCheckpoint(path, experiment="unit", grid_hash=digest,
+                             total=2, resume=True) as journal:
+            assert journal.completed == {0: 100}
+            journal.record(1, 121)
+        assert load_checkpoint_results(path) == {0: 100, 1: 121}
+
+    @pytest.mark.parametrize("header", ["[1]", "7", '"unit"', "null"])
+    def test_non_object_header_is_a_mismatch(self, tmp_path, header):
+        path = tmp_path / "sweep.ckpt"
+        path.write_text(header + "\n")
+        with pytest.raises(CheckpointMismatch, match="not an object"):
+            SweepCheckpoint(str(path), experiment="unit",
+                            grid_hash=grid_hash([1]), total=1, resume=True)
+
     def test_resume_missing_file_starts_fresh(self, tmp_path):
         path = str(tmp_path / "never-written.ckpt")
         with SweepCheckpoint(path, experiment="unit",
