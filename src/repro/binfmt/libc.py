@@ -18,13 +18,14 @@ The exploit-relevant facts modeled here, straight from the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
+from dataclasses import dataclass, field
+from typing import Dict, NamedTuple
 
 from ..cpu.events import _EmulationStop
-from ..cpu.native import NativeCallContext, NativeHandler
+from ..cpu.native import NativeCallContext, NativeFunction, NativeHandler
 from ..mem import MemoryFault
-from .binary import Binary
+from ..mem.layout import LIBC_SLIDE_PAGES
+from .binary import Binary, relocate
 from .builder import BinaryBuilder
 
 #: Upper bound on a single memcpy, to keep stray chains from looping forever.
@@ -129,12 +130,59 @@ LIBC_EXPORTS: Dict[str, NativeHandler] = {
 }
 
 
+#: Safety valve: an image's placement cache resets past this many bases.
+#: The default ASLR span draws at most this many, so only a wider custom
+#: span ever reaches it.
+_PLACED_LIMIT = LIBC_SLIDE_PAGES
+
+
+class PlacedLibc(NamedTuple):
+    """libc slid to one base: the relocated image and its bound exports.
+
+    Shared by every boot at that base, so both are read-only: the loader
+    copies section bytes into fresh segments and native bindings into each
+    process's own table.
+    """
+
+    binary: Binary
+    #: Mapped export address -> its native binding.
+    natives: Dict[int, NativeFunction]
+
+
 @dataclass
 class LibcImage:
-    """Link-base-0 libc binary plus its native implementations."""
+    """Link-base-0 libc binary plus its native implementations.
+
+    Each libc base is relocated and bound once (:meth:`at`), and the PLT
+    bindings once per image (``plt``): a respawn at a base seen before
+    copies bytes and bindings instead of rebuilding them.  Neither
+    ``binary`` nor ``natives`` may change after construction.
+    """
 
     binary: Binary
     natives: Dict[str, NativeHandler]
+    _placed: Dict[int, PlacedLibc] = field(default_factory=dict, init=False,
+                                          repr=False, compare=False)
+    #: Export name -> its ``name@plt`` binding, for the loader's PLT slots.
+    plt: Dict[str, NativeFunction] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.plt = {export: NativeFunction(f"{export}@plt", handler)
+                    for export, handler in self.natives.items()}
+
+    def at(self, base: int) -> PlacedLibc:
+        """libc relocated to ``base`` with every export bound, built once."""
+        placed = self._placed.get(base)
+        if placed is None:
+            moved = relocate(self.binary, base, new_name="libc")
+            placed = PlacedLibc(moved, {
+                moved.symbols.address_of(export): NativeFunction(export, handler)
+                for export, handler in self.natives.items()
+            })
+            if len(self._placed) >= _PLACED_LIMIT:
+                self._placed.clear()
+            self._placed[base] = placed
+        return placed
 
 
 def _stub_body(arch: str, index: int) -> bytes:

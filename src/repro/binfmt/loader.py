@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cpu import NativeFunction, Process
+from ..cpu import Process
 from ..mem import AddressSpace, MemoryLayout, Perm, Segment
-from .binary import Binary, relocate
+from .binary import Binary
 from .libc import LibcImage
 from .section import Symbol
 
@@ -30,7 +30,9 @@ class LoadedProcess:
 
     process: Process
     binary: Binary
-    libc: Binary  # relocated copy for this instantiation
+    #: libc relocated to this boot's base; shared, read-only, by every boot
+    #: of the image at that base (:meth:`LibcImage.at`).
+    libc: Binary
     layout: MemoryLayout
     wx_enabled: bool
 
@@ -81,8 +83,8 @@ def load_process(
     space = AddressSpace()
     _map_image(space, binary, prefix=f"{binary.name}:")
 
-    libc = relocate(libc_image.binary, layout.libc_base, new_name="libc")
-    _map_image(space, libc, prefix="libc:")
+    libc = libc_image.at(layout.libc_base)
+    _map_image(space, libc.binary, prefix="libc:")
 
     dynamic_perm = Perm.RW if wx_enabled else Perm.RWX
     space.map_new("stack", layout.stack_base, layout.stack_size, dynamic_perm)
@@ -97,16 +99,15 @@ def load_process(
     process.pc = binary.symbols.address_of("_start")
 
     # Bind libc exports at their mapped libc addresses...
-    for export, handler in libc_image.natives.items():
-        address = libc.symbols.address_of(export)
-        process.register_native(address, NativeFunction(export, handler))
+    process.native.update(libc.natives)
     # ...and bind the binary's PLT entries straight to the same handlers
     # (eager-binding model of PLT -> GOT -> libc indirection).
     for external, plt_address in binary.plt.items():
-        handler = libc_image.natives.get(external)
-        if handler is not None:
-            process.register_native(plt_address, NativeFunction(f"{external}@plt", handler))
+        function = libc_image.plt.get(external)
+        if function is not None:
+            process.register_native(plt_address, function)
 
     return LoadedProcess(
-        process=process, binary=binary, libc=libc, layout=layout, wx_enabled=wx_enabled
+        process=process, binary=binary, libc=libc.binary, layout=layout,
+        wx_enabled=wx_enabled,
     )

@@ -965,7 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_arch(gadgets)
     gadgets.add_argument("--seed", type=int, default=0, help="diversity build seed")
     gadgets.add_argument("--contains", help="filter by substring of the gadget text")
-    gadgets.add_argument("--limit", type=int, default=40)
+    gadgets.add_argument("--limit", type=_positive_int, default=40)
     gadgets.add_argument("--census", action="store_true",
                          help="print category counts instead of a listing")
     gadgets.set_defaults(run=cmd_gadgets)
@@ -978,7 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = subparsers.add_parser("trace", help="run one attack with an execution trace")
     _add_arch(trace)
     _add_level(trace)
-    trace.add_argument("--limit", type=int, default=64)
+    trace.add_argument("--limit", type=_positive_int, default=64)
     trace.set_defaults(run=cmd_trace)
 
     listing = subparsers.add_parser("listing", help="paper-Listing view of a chain")
@@ -992,7 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
     autogen.set_defaults(run=cmd_autogen)
 
     bruteforce = subparsers.add_parser("bruteforce", help="E10 ASLR brute force")
-    bruteforce.add_argument("--max-attempts", type=int, default=4096)
+    bruteforce.add_argument("--max-attempts", type=_positive_int, default=4096)
     bruteforce.add_argument("--seed", type=int, default=99)
     bruteforce.set_defaults(run=cmd_bruteforce)
 
@@ -1192,8 +1192,8 @@ def build_parser() -> argparse.ArgumentParser:
     pcap.set_defaults(run=cmd_pcap)
 
     offpath = subparsers.add_parser("offpath", help="E11 off-path spoofing")
-    offpath.add_argument("--burst", type=int, default=2048)
-    offpath.add_argument("--max-queries", type=int, default=512)
+    offpath.add_argument("--burst", type=_positive_int, default=2048)
+    offpath.add_argument("--max-queries", type=_positive_int, default=512)
     offpath.add_argument("--seed", type=int, default=3)
     offpath.set_defaults(run=cmd_offpath)
 

@@ -52,22 +52,27 @@ class AddressSpace:
         self.taint = None
 
     def _mappings_changed(self) -> None:
-        self._bases = [seg.base for seg in self._segments]
         self._lookup_memo.clear()
         self.mapping_epoch += 1
 
     # -- mapping -------------------------------------------------------------
 
     def map(self, segment: Segment) -> Segment:
-        """Map a segment, refusing overlaps."""
-        for existing in self._segments:
+        """Map a segment, refusing overlaps.
+
+        Mapped segments never overlap, so only the bisect neighbours of the
+        new base can: the predecessor (same or lower base) if it reaches
+        past that base, the successor if it starts before the new end.
+        """
+        index = bisect_right(self._bases, segment.base)
+        for existing in self._segments[max(index - 1, 0) : index + 1]:
             if existing.overlaps(segment):
                 raise ValueError(
                     f"segment {segment.name!r} overlaps {existing.name!r} "
                     f"({existing.describe()})"
                 )
-        self._segments.append(segment)
-        self._segments.sort(key=lambda seg: seg.base)
+        self._segments.insert(index, segment)
+        self._bases.insert(index, segment.base)
         self._mappings_changed()
         return segment
 
@@ -91,7 +96,9 @@ class AddressSpace:
             raise ValueError(
                 f"segment name {name!r} is ambiguous ({len(matches)} mappings: {spans})"
             )
-        self._segments.remove(matches[0])
+        index = self._segments.index(matches[0])
+        del self._segments[index]
+        del self._bases[index]
         self._mappings_changed()
 
     def segments(self) -> Iterator[Segment]:

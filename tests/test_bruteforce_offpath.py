@@ -85,6 +85,17 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             AslrBruteForcer(ConnmanDaemon(arch="arm", profile=WX_ASLR))
 
+    def test_negative_budget_rejected(self):
+        victim = ConnmanDaemon(arch="x86", profile=WX_ASLR)
+        with pytest.raises(ValueError, match="max_attempts"):
+            AslrBruteForcer(victim, max_attempts=-3)
+
+    def test_zero_budget_makes_no_attempt(self):
+        victim = ConnmanDaemon(arch="x86", profile=WX_ASLR, rng=random.Random(5))
+        result = AslrBruteForcer(victim, max_attempts=0).run()
+        assert (result.succeeded, result.attempts, result.daemon_boots) == (False, 0, 1)
+        assert result.describe() == "gave up after 0 attempts; daemon respawned 0 times"
+
     def test_guessed_knowledge_shifts_libc_only(self):
         victim = ConnmanDaemon(arch="x86", profile=WX_ASLR)
         forcer = AslrBruteForcer(victim)

@@ -21,6 +21,21 @@ class TestParser:
         assert {"E1", "E5", "E8", "E10", "E11"} <= set(EXPERIMENTS)
 
 
+    @pytest.mark.parametrize("argv", [
+        ["bruteforce", "--max-attempts", "-3"],
+        ["bruteforce", "--max-attempts", "0"],
+        ["gadgets", "--limit", "0"],
+        ["trace", "--limit", "-1"],
+        ["offpath", "--burst", "0"],
+        ["offpath", "--max-queries", "-5"],
+    ])
+    def test_counts_below_one_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert argv[1] in capsys.readouterr().err
+
+
 class TestCommands:
     def test_matrix(self, capsys):
         assert main(["matrix"]) == 0

@@ -102,6 +102,63 @@ class TestMapping:
         assert "00010000-00011000 r-x code" in text
 
 
+#: Candidates colliding with make_space()'s "code" segment [0x10000, 0x11000)
+#: in every way the bisect-neighbour check has to catch.
+OVERLAPS = {
+    "tail of the predecessor": (0x10800, 0x1000),
+    "head of the successor": (0xF800, 0x1000),
+    "inside an existing segment": (0x10400, 0x100),
+    "around an existing segment": (0xF000, 0x3000),
+    "same base": (0x10000, 0x10),
+    "last byte of the predecessor": (0x10FFF, 0x10),
+    "first byte of the successor": (0xF000, 0x1001),
+}
+
+
+class TestNeighbourOverlap:
+    @pytest.mark.parametrize("case", sorted(OVERLAPS))
+    def test_overlap_refused_and_nothing_changes(self, case):
+        space = make_space()
+        for address in (0x1000, 0x2004, 0x10000):
+            space.segment_at(address)  # warm the lookup memo
+        before = (list(space.segments()), space.mapping_epoch,
+                  dict(space._lookup_memo), list(space._bases))
+        base, size = OVERLAPS[case]
+        with pytest.raises(ValueError, match="overlaps"):
+            space.map(Segment("bad", base, size, Perm.RW))
+        assert (list(space.segments()), space.mapping_epoch,
+                dict(space._lookup_memo), list(space._bases)) == before
+
+    def test_adjacent_segments_allowed(self):
+        space = make_space()
+        space.map(Segment("above", 0x11000, 0x1000, Perm.RW))
+        space.map(Segment("below", 0xF000, 0x1000, Perm.RW))
+        names = [seg.name for seg in space.segments()]
+        assert names[names.index("below"):][:3] == ["below", "code", "above"]
+        assert space.segment_at(0xFFFF).name == "below"
+        assert space.segment_at(0x11000).name == "above"
+        assert space.contiguous_span(0xF000, 0x3000) == 0x3000
+
+    def test_out_of_order_maps_stay_sorted(self):
+        space = make_space()
+        space.map(Segment("z", 0x30000, 0x1000, Perm.RW))
+        space.map(Segment("y", 0x5000, 0x1000, Perm.RW))
+        bases = [seg.base for seg in space.segments()]
+        assert bases == sorted(bases) == space._bases and len(bases) == 6
+        assert space.segment_at(0x5000).name == "y"
+        assert space.segment_at(0x30FFF).name == "z"
+
+    def test_unmap_keeps_lookup_in_step(self):
+        space = make_space()
+        space.unmap("high")
+        assert space.segment_at(0x1FFF).name == "low"
+        assert space.segment_at(0x10000).name == "code"
+        with pytest.raises(UnmappedAddressError):
+            space.segment_at(0x2000)
+        space.map_new("high-again", 0x2000, 0x800, Perm.RW)
+        assert space.segment_at(0x27FF).name == "high-again"
+
+
 class TestReadWrite:
     def test_roundtrip(self):
         space = make_space()
