@@ -206,10 +206,12 @@ def cmd_run(args) -> int:
 
     The registry-driven entry point.  ``--grid key=v1,v2`` widens a spec
     axis into a sharded sweep, ``--checkpoint``/``--resume`` journal it
-    (per inner trial for experiments that support it, per grid point
-    otherwise), and ``--results PATH`` writes the ``repro-results/v1``
-    artifact that ``repro report --results``, ``repro dash --results``,
-    and the bench gate consume.
+    one task at a time (a brute-force trial, a reliability cell, a chaos
+    point, or a whole grid point for single-task experiments), and
+    ``--results PATH`` writes the ``repro-results/v1`` artifact that
+    ``repro report --results``, ``repro dash --results``, and the bench
+    gate consume.  Parameters that fail an experiment's checks (a count
+    below 1, an unknown name) exit 2 before any task runs.
     """
     import json
     import os
@@ -264,7 +266,7 @@ def cmd_run(args) -> int:
     except CheckpointMismatch as error:
         print(f"repro run: {error}", file=sys.stderr)
         return 2
-    except ValueError as error:  # unknown grid/param name
+    except ValueError as error:  # unknown grid/param name, degenerate count
         print(f"repro run: {error}", file=sys.stderr)
         return 2
     except TaskError as error:
@@ -278,8 +280,7 @@ def cmd_run(args) -> int:
         print(json.dumps(run.to_artifact(), indent=2, sort_keys=True))
     else:
         print(run.describe())
-    if run.stats is not None:
-        print(run.stats.describe(), file=sys.stderr)
+    print(run.stats.describe(), file=sys.stderr)
     print(run.slo_report.describe(), file=sys.stderr)
     for trial in run.trials:
         if trial.failure is not None:
@@ -405,7 +406,7 @@ def _parse_rates(text: str) -> tuple:
     except ValueError:
         raise SystemExit(f"repro chaos: invalid --rates {text!r} "
                          "(want comma-separated floats, e.g. 0,0.2,0.5)")
-    if any(rate < 0.0 or rate > 1.0 for rate in rates):
+    if any(not 0.0 <= rate <= 1.0 for rate in rates):  # NaN compares False
         raise SystemExit(f"repro chaos: --rates values must be in [0, 1], got {text!r}")
     return rates
 
@@ -464,8 +465,7 @@ def cmd_chaos(args) -> int:
         print(report.describe())
     # Harness health goes to stderr so stdout stays a pure artifact that
     # byte-compares across interrupted-then-resumed and clean runs.
-    if report.health is not None:
-        print(report.health.describe(), file=sys.stderr)
+    print(report.health.describe(), file=sys.stderr)
     slo_report = evaluate_slos(health_slos, sweep_observer, emit=False)
     print(slo_report.describe(), file=sys.stderr)
     for failure in report.failures:
@@ -916,8 +916,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiments = subparsers.add_parser("experiments", help="run paper experiments")
     experiments.add_argument("--only", help="comma-separated ids, e.g. E1,E5")
     experiments.add_argument("--list", action="store_true",
-                             help="print the experiment registry (ids, grids, "
-                                  "passthrough capabilities) without running")
+                             help="print the experiment registry (ids, grid "
+                                  "axes, grid points) without running")
     experiments.set_defaults(run=cmd_experiments)
 
     run = subparsers.add_parser(

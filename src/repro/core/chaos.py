@@ -16,20 +16,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.metrics import MetricsRegistry
+    from ..obs.profiler import ProfileData
+    from ..obs.spans import Span
 
 from ..connman import ConnmanDaemon, DaemonSupervisor
 from ..defenses import WX_ASLR
 from ..dns import ResilientResolver, SimpleDnsServer, make_query
 from ..exploit import AslrBruteForcer
 from ..net import FaultPolicy, faulty_transport
-from ..obs import Collector, TimeSeriesStore
-from .parallel import (DEFAULT_POLICY, RunPolicy, SweepStats, resolve_workers,
-                       run_supervised)
-from .resume import SweepCheckpoint, TrialFailure, grid_hash
+from ..obs import Collector, DeterministicProfiler, TimeSeriesStore
+from .parallel import RunPolicy, SweepStats
+from .registry import fan_out
+from .resume import TrialFailure
 from .report import render_table
 
 #: Client names rotate through this many hosts (so revisits hit the cache).
@@ -238,56 +240,135 @@ def run_chaos_point(
     )
 
 
-def _chaos_point_task(task: Tuple) -> Tuple:
-    """Worker for the parallel sweep: one fully seeded chaos point.
+@dataclass(frozen=True)
+class ChaosTask:
+    """One fully seeded chaos point.  ``observed`` gives its worker a
+    collector, equipped like the one the results merge into."""
 
-    Module-level (pool-picklable).  When the sweep is observed, the worker
-    runs with its own collector and ships its metrics registry, span list,
-    time-series store (when the parent samples), and final clock back for
-    the parent to merge — counter totals, the span forest, and the sampled
-    series match the sequential run exactly.
-    """
-    (level, point_seed, queries, attack_budget, entropy_pages,
-     start_limit_burst, observed, sample_interval, sample_limit,
-     profile_interval, tainted) = task
-    collector = Collector() if observed else None
-    if collector is not None and sample_interval is not None:
+    level: float
+    seed: int
+    queries: int
+    attack_budget: int
+    entropy_pages: int
+    start_limit_burst: int
+    observed: bool = False
+    sample_interval: Optional[float] = None
+    sample_limit: int = 0
+    profile_interval: Optional[int] = None
+    taint: bool = False
+
+
+@dataclass
+class ChaosPointResult:
+    """One point's cell plus, when observed, its worker's telemetry."""
+
+    cell: ChaosCell
+    metrics: Optional["MetricsRegistry"] = None
+    spans: Optional[List["Span"]] = None
+    series: Optional[TimeSeriesStore] = None
+    clock: float = 0.0
+    profile: Optional["ProfileData"] = None
+
+
+def chaos_tasks(rates: Sequence[float], *, seed: int, queries_per_rate: int,
+                attack_budget: int, entropy_pages: int = 32,
+                start_limit_burst: int = 6,
+                observer: Optional[Collector] = None,
+                taint: bool = False) -> List[ChaosTask]:
+    """One task per fault level, observed the way ``observer`` is."""
+    store = observer.series if observer is not None else None
+    profiler = observer.profiler if observer is not None else None
+    tainted = taint or (observer is not None and observer.taint is not None)
+    return [
+        ChaosTask(
+            level=level, seed=seed + 7919 * index, queries=queries_per_rate,
+            attack_budget=attack_budget, entropy_pages=entropy_pages,
+            start_limit_burst=start_limit_burst,
+            observed=observer is not None,
+            sample_interval=store.interval if store is not None else None,
+            sample_limit=store.limit if store is not None else 0,
+            profile_interval=(profiler.sample_interval
+                              if profiler is not None else None),
+            taint=tainted,
+        )
+        for index, level in enumerate(rates)
+    ]
+
+
+def run_chaos_task(task: ChaosTask) -> ChaosPointResult:
+    """Worker: one chaos point (module-level, pool-picklable)."""
+    collector = Collector() if task.observed else None
+    if collector is not None and task.sample_interval is not None:
         collector.attach_series(
-            TimeSeriesStore(interval=sample_interval, limit=sample_limit))
-    if collector is not None and profile_interval is not None:
-        from ..obs import DeterministicProfiler
-
+            TimeSeriesStore(interval=task.sample_interval,
+                            limit=task.sample_limit))
+    if collector is not None and task.profile_interval is not None:
         collector.attach_profiler(
-            DeterministicProfiler(sample_interval=profile_interval))
-    if collector is not None and tainted:
-        from ..obs.taint import TaintEngine
-
-        collector.attach_taint(TaintEngine())
+            DeterministicProfiler(sample_interval=task.profile_interval))
     cell = run_chaos_point(
-        level,
-        seed=point_seed,
-        queries=queries,
-        attack_budget=attack_budget,
-        entropy_pages=entropy_pages,
-        start_limit_burst=start_limit_burst,
+        task.level,
+        seed=task.seed,
+        queries=task.queries,
+        attack_budget=task.attack_budget,
+        entropy_pages=task.entropy_pages,
+        start_limit_burst=task.start_limit_burst,
         observer=collector,
+        taint=task.taint,
     )
     if collector is None:
-        return cell, None, None, None, 0.0, None
-    return (cell, collector.metrics, collector.tracer.spans,
-            collector.series, collector.clock,
-            collector.profiler.snapshot() if collector.profiler is not None
-            else None)
+        return ChaosPointResult(cell)
+    return ChaosPointResult(
+        cell, collector.metrics, collector.tracer.spans, collector.series,
+        collector.clock,
+        collector.profiler.snapshot() if collector.profiler is not None
+        else None)
+
+
+def merge_chaos_results(observer: Optional[Collector],
+                        results: Iterable[ChaosPointResult]) -> List[ChaosCell]:
+    """The points' cells, with their telemetry merged into ``observer``
+    in task order — the same totals, span forest, series and profile as
+    one collector observing every point in turn."""
+    store = observer.series if observer is not None else None
+    profiler = observer.profiler if observer is not None else None
+    cells = []
+    for result in results:
+        cells.append(result.cell)
+        if observer is None:
+            continue
+        if store is not None and result.series is not None:
+            # Adopt the worker's series *before* merging its registry:
+            # the adopt offsets are the cumulative counts of every prior
+            # point, exactly what one shared registry held during this one.
+            store.adopt(result.series, observer.metrics)
+        if result.metrics is not None:
+            observer.metrics.merge(result.metrics)
+        if result.spans:
+            # Deterministic merge: task order + id rebasing reproduce the
+            # span forest of one collector observing every point.
+            observer.tracer.adopt(result.spans)
+        if profiler is not None and result.profile is not None:
+            # Profiles are pure counter sums with run-scoped sampling
+            # phases, so adopting point snapshots in task order is byte
+            # for byte one profiler's result (folded stacks included).
+            profiler.adopt(result.profile)
+        # One shared clock is a running max over the points (advance_to);
+        # reproduce it after the adopts so no already-covered grid
+        # boundary is re-sampled.
+        observer.advance_to(result.clock)
+    return cells
 
 
 #: Checkpoint identity for the chaos sweep (resume validates against it).
-CHAOS_EXPERIMENT_ID = "E16.chaos"
+CHAOS_EXPERIMENT_ID = "chaos.sweep"
+#: The sweep's default seed (E16 runs its points at it too).
+DEFAULT_CHAOS_SEED = 0xC4A05
 
 
 def run_chaos_sweep(
     rates: Sequence[float] = (0.0, 0.2, 0.5),
     *,
-    seed: int = 0xC4A05,
+    seed: int = DEFAULT_CHAOS_SEED,
     queries_per_rate: int = 24,
     attack_budget: int = 32,
     entropy_pages: int = 32,
@@ -302,16 +383,11 @@ def run_chaos_sweep(
 ) -> ReliabilityReport:
     """Sweep the fault level; each point gets an independent derived seed.
 
-    Pass (or let the sweep create) a :class:`~repro.obs.Collector` to get
-    a metrics summary on the report; ``observer=None`` keeps the legacy
-    unobserved path byte-identical.
-
-    ``workers>1`` fans the points out over the parallel runner: cells are
-    identical to the sequential sweep (each point is seeded independently),
-    and when observed, worker metrics and span trees are merged into
-    ``observer`` in point order (span ids are rebased so the merged forest
-    matches the sequential sweep's exactly).  Event traces stay per-worker
-    in that mode — only the sequential path streams events into the parent
+    Pass a :class:`~repro.obs.Collector` to get a metrics summary on the
+    report.  Every point runs as a :class:`ChaosTask` through
+    :func:`~repro.core.registry.fan_out`, as E16's do, and its telemetry
+    is merged by :func:`merge_chaos_results`, so the report is the same
+    at any ``workers`` count.  Event traces stay with each point's own
     collector.
 
     Resilience: ``policy`` adds per-trial timeouts/retries (quarantined
@@ -325,92 +401,18 @@ def run_chaos_sweep(
     ``observer`` so wall-clock-dependent harness telemetry never leaks
     into the deterministic results artifact.
     """
-    report = ReliabilityReport(seed=seed)
-    # Checkpointing (or resuming) always takes the task-fanout path, even
-    # sequentially, so the journal sees identical trial payloads at any
-    # worker count — the resume artifact must not depend on ``workers``.
-    # A supplied ``policy`` or ``sweep_observer`` forces it too: the
-    # supervised runner is the only place retries/quarantine/health
-    # counters exist, so a sequential `repro chaos --retries N` must not
-    # silently drop them (cells stay identical — each point is seeded
-    # independently and runs in-process at workers=1).
-    use_tasks = (checkpoint is not None or resume
-                 or policy is not None or sweep_observer is not None
-                 or (resolve_workers(workers) > 1 and len(rates) > 1))
-    if use_tasks:
-        store = observer.series if observer is not None else None
-        profiler = observer.profiler if observer is not None else None
-        tainted = taint or (observer is not None and observer.taint is not None)
-        tasks = [
-            (level, seed + 7919 * index, queries_per_rate, attack_budget,
-             entropy_pages, start_limit_burst, observer is not None,
-             store.interval if store is not None else None,
-             store.limit if store is not None else 0,
-             profiler.sample_interval if profiler is not None else None,
-             tainted)
-            for index, level in enumerate(rates)
-        ]
-        journal = None
-        if checkpoint is not None:
-            journal = SweepCheckpoint(
-                checkpoint, experiment=CHAOS_EXPERIMENT_ID,
-                grid_hash=grid_hash(tasks), total=len(tasks), seed=seed,
-                resume=resume,
-            )
-        try:
-            outcome = run_supervised(
-                _chaos_point_task, tasks, workers=workers,
-                policy=policy if policy is not None else DEFAULT_POLICY,
-                observer=sweep_observer, checkpoint=journal,
-                seed_of=lambda task: task[1], label="chaos",
-            )
-        finally:
-            if journal is not None:
-                journal.close()
-        report.failures = outcome.failures
-        report.health = outcome.stats
-        for payload in outcome.results:
-            if isinstance(payload, TrialFailure):
-                continue  # quarantined point: reported, not merged
-            cell, metrics, spans, series, clock, profile = payload
-            report.cells.append(cell)
-            if observer is not None:
-                if store is not None and series is not None:
-                    # Adopt the worker's series *before* merging its
-                    # registry: the adopt offsets are the cumulative
-                    # counts of every prior point, exactly what the
-                    # shared sequential registry held during this one.
-                    store.adopt(series, observer.metrics)
-                if metrics is not None:
-                    observer.metrics.merge(metrics)
-                if spans:
-                    # Deterministic merge: task order + id rebasing
-                    # reproduce the sequential sweep's span forest exactly.
-                    observer.tracer.adopt(spans)
-                if profiler is not None and profile is not None:
-                    # Profiles are pure counter sums with run-scoped
-                    # sampling phases, so adopting point snapshots in
-                    # task order reproduces the sequential profile
-                    # byte for byte (folded stacks included).
-                    profiler.adopt(profile)
-                # The shared sequential clock is a running max over the
-                # points (advance_to); reproduce it after the adopts so
-                # no already-covered grid boundary is re-sampled.
-                observer.advance_to(clock)
-    else:
-        for index, level in enumerate(rates):
-            report.cells.append(
-                run_chaos_point(
-                    level,
-                    seed=seed + 7919 * index,
-                    queries=queries_per_rate,
-                    attack_budget=attack_budget,
-                    entropy_pages=entropy_pages,
-                    start_limit_burst=start_limit_burst,
-                    observer=observer,
-                    taint=taint,
-                )
-            )
+    tasks = chaos_tasks(rates, seed=seed, queries_per_rate=queries_per_rate,
+                        attack_budget=attack_budget,
+                        entropy_pages=entropy_pages,
+                        start_limit_burst=start_limit_burst,
+                        observer=observer, taint=taint)
+    outcome = fan_out(run_chaos_task, tasks, journal=CHAOS_EXPERIMENT_ID,
+                      seed=seed, workers=workers, policy=policy,
+                      checkpoint=checkpoint, resume=resume,
+                      observer=sweep_observer, label="chaos")
+    report = ReliabilityReport(
+        seed=seed, cells=merge_chaos_results(observer, outcome.completed()),
+        failures=outcome.failures, health=outcome.stats)
     if observer is not None:
         report.metrics = observer.metrics.to_dict()
     return report

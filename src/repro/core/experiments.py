@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..connman import ConnmanDaemon, EventKind
+from ..connman import ConnmanDaemon, DaemonSupervisor, EventKind
 from ..defenses import (
     NONE,
     WX,
@@ -23,17 +23,24 @@ from ..dns import SimpleDnsServer, build_raw_response, make_query
 from ..exploit import (
     ArmExeclpGadget,
     ArmRopMemcpyExeclp,
+    AslrBruteForcer,
+    BruteForceTrial,
     X86Ret2Libc,
     builder_for,
     deliver,
     malicious_server_for,
+    run_bruteforce_trial,
 )
 from ..firmware import FIRMWARE_CATALOG, IoTDevice, UBUNTU_X86, audit_firmware, raspberry_pi_3b
 from ..net import AccessPoint, DhcpServer, DNS_PORT, Host, Network, RadioEnvironment, WifiPineapple
+from ..obs import Collector
 from ..othercves import ALL_SPECS, AdaptedService, adapt_exploit, deliver_to_service
-from .registry import register_experiment
+from .chaos import DEFAULT_CHAOS_SEED, chaos_tasks, merge_chaos_results, run_chaos_task
+from .registry import register_experiment, run_experiment
+from .reliability import reliability_tasks, run_reliability_cell
 from .report import render_table
 from .scenarios import AttackScenario, attacker_knowledge, run_scenario
+from .sweeps import DEFAULT_ENTROPY_SERIES, entropy_points, entropy_trials
 
 
 @dataclass
@@ -79,6 +86,14 @@ def _jsonable(cell):
 
 def _check(expected: bool) -> str:
     return "ok" if expected else "MISMATCH"
+
+
+def _require_counts(experiment_id: str, params: dict, *names: str) -> None:
+    """Reject a count below 1 before any task is dispatched."""
+    for name in names:
+        if not isinstance(params[name], int) or params[name] < 1:
+            raise ValueError(f"{experiment_id}: {name} must be an integer "
+                             f">= 1, got {params[name]!r}")
 
 
 # -- E1: crash / DoS (§III intro) -------------------------------------------------
@@ -432,36 +447,38 @@ def e8_adaptation(profiles: Optional[Sequence[Tuple[str, ProtectionProfile]]] = 
 # -- E10: brute-forcing ASLR against a respawning daemon (§VI related work) -----
 
 
-@register_experiment("E10", "brute-forcing ASLR (ret2libc, respawning daemon)",
-                     grid={"max_attempts": (2048,)}, supports=("workers",))
-def e10_bruteforce(max_attempts: int = 2048, *,
-                   workers: Optional[int] = 1) -> ExperimentResult:
-    """32-bit ASLR entropy is brute-forceable; §IV/§VII defenses are not."""
-    from ..exploit import BruteForceTrial, run_bruteforce_trial
-    from .parallel import run_tasks
+def _e10_trials(params) -> List[BruteForceTrial]:
+    _require_counts("E10", params, "max_attempts")
+    return [
+        BruteForceTrial(victim_seed=99, attacker_seed=5,
+                        max_attempts=params["max_attempts"]),
+        BruteForceTrial(victim_seed=99, attacker_seed=5,
+                        max_attempts=256, ret_guard=True),
+    ]
 
+
+def _e10_fold(params, reports) -> ExperimentResult:
     result = ExperimentResult(
         "E10", "brute-forcing ASLR (ret2libc, respawning daemon)",
         headers=("victim", "attempts", "outcome", "expected"),
         notes="32-bit mmap ASLR: ~8 bits of libc entropy -> expected ~256 tries.",
     )
-    report, guarded_report = run_tasks(
-        run_bruteforce_trial,
-        [
-            BruteForceTrial(victim_seed=99, attacker_seed=5,
-                            max_attempts=max_attempts),
-            BruteForceTrial(victim_seed=99, attacker_seed=5,
-                            max_attempts=256, ret_guard=True),
-        ],
-        workers=workers,
-    )
-    plausible = report.succeeded and 16 <= report.attempts <= max_attempts
+    report, guarded_report = reports
+    plausible = report.succeeded and 16 <= report.attempts <= params["max_attempts"]
     result.rows.append(("W^X+ASLR", report.attempts, report.describe()[:52],
                         _check(plausible)))
     result.rows.append(("+ ret-addr guard", guarded_report.attempts,
                         guarded_report.describe()[:52],
                         _check(not guarded_report.succeeded)))
     return result
+
+
+@register_experiment("E10", "brute-forcing ASLR (ret2libc, respawning daemon)",
+                     grid={"max_attempts": (2048,)}, trials=_e10_trials,
+                     run_trial=run_bruteforce_trial, fold=_e10_fold)
+def e10_bruteforce(max_attempts: int = 2048) -> ExperimentResult:
+    """32-bit ASLR entropy is brute-forceable; §IV/§VII defenses are not."""
+    return run_experiment("E10", params={"max_attempts": max_attempts}).result
 
 
 # -- E11: off-path spoofing / cache-poisoning delivery (§III-D remark) ------------
@@ -627,65 +644,48 @@ def e13_botnet() -> ExperimentResult:
 # -- E14: exploit reliability across randomization draws ---------------------------
 
 
-@register_experiment("E14", "exploit reliability across fresh boots",
-                     grid={"trials": (10,)},
-                     supports=("workers", "checkpoint", "policy",
-                               "sweep_observer"))
-def e14_reliability(trials: int = 10, *,
-                    workers: Optional[int] = 1,
-                    checkpoint: Optional[str] = None, resume: bool = False,
-                    policy=None, sweep_observer=None) -> ExperimentResult:
-    """Success rates per technique over fresh boots (fresh ASLR draws).
+def _e14_trials(params):
+    _require_counts("E14", params, "trials")
+    return reliability_tasks(trials=params["trials"])
 
-    ``checkpoint``/``resume``/``policy`` flow into the study runner
-    (journaled per STUDY_PLAN cell), so an interrupted E14 resumes to the
-    same table; ``sweep_observer`` collects the harness-health counters
-    the registry's SLO rules gate on.
-    """
-    from .reliability import run_reliability_study
 
+def _e14_fold(_params, cells) -> ExperimentResult:
     result = ExperimentResult(
         "E14", "exploit reliability across fresh boots",
         headers=("technique", "arch", "victim", "success", "expectation", "expected"),
         notes="'always' techniques use only non-randomized facts; 'lottery' "
               "is the 1-in-2^entropy residual that E10 brute-forces.",
     )
-    for cell in run_reliability_study(trials=trials, workers=workers,
-                                      policy=policy, checkpoint=checkpoint,
-                                      resume=resume, observer=sweep_observer):
+    for cell in cells:
         result.rows.append(cell.row() + (_check(cell.matches_expectation),))
     return result
+
+
+@register_experiment("E14", "exploit reliability across fresh boots",
+                     grid={"trials": (10,)}, trials=_e14_trials,
+                     run_trial=run_reliability_cell, fold=_e14_fold)
+def e14_reliability(trials: int = 10) -> ExperimentResult:
+    """Success rates per technique over fresh boots (fresh ASLR draws)."""
+    return run_experiment("E14", params={"trials": trials}).result
 
 
 # -- E15: brute-force cost vs. ASLR entropy (figure series) -------------------------
 
 
-@register_experiment("E15", "brute-force attempts vs. ASLR entropy (figure series)",
-                     grid={"runs_per_point": (5,)},
-                     supports=("workers", "checkpoint", "policy",
-                               "sweep_observer"))
-def e15_entropy_sweep(runs_per_point: int = 5, *,
-                      workers: Optional[int] = 1,
-                      checkpoint: Optional[str] = None, resume: bool = False,
-                      policy=None, sweep_observer=None) -> ExperimentResult:
-    """Median brute-force attempts scale linearly with randomization span.
+def _e15_trials(params):
+    _require_counts("E15", params, "runs_per_point")
+    return entropy_trials(runs_per_point=params["runs_per_point"])
 
-    ``checkpoint``/``resume``/``policy`` reach the underlying entropy
-    sweep (journaled per brute-force trial): ``repro run E15 --checkpoint
-    ... --resume`` re-executes only the trials a killed run is missing.
-    """
-    from .sweeps import sweep_bruteforce_entropy
 
+def _e15_fold(params, reports) -> ExperimentResult:
     result = ExperimentResult(
         "E15", "brute-force attempts vs. ASLR entropy (figure series)",
         headers=("entropy (pages)", "median attempts", "range", "expected"),
         notes="Linear scaling: with ~2^8 pages the attack is minutes of DNS "
               "traffic; IoT-class 32-bit targets cannot widen the span enough.",
     )
-    points = sweep_bruteforce_entropy(runs_per_point=runs_per_point,
-                                      workers=workers, policy=policy,
-                                      checkpoint=checkpoint, resume=resume,
-                                      observer=sweep_observer)
+    points = entropy_points(DEFAULT_ENTROPY_SERIES, params["runs_per_point"],
+                            reports)
     for point in points:
         result.rows.append(point.row() + (_check(point.plausible),))
     medians = [point.median_attempts for point in points]
@@ -697,29 +697,27 @@ def e15_entropy_sweep(runs_per_point: int = 5, *,
     return result
 
 
+@register_experiment("E15", "brute-force attempts vs. ASLR entropy (figure series)",
+                     grid={"runs_per_point": (5,)}, trials=_e15_trials,
+                     run_trial=run_bruteforce_trial, fold=_e15_fold)
+def e15_entropy_sweep(runs_per_point: int = 5) -> ExperimentResult:
+    """Median brute-force attempts scale linearly with randomization span."""
+    return run_experiment("E15", params={"runs_per_point": runs_per_point}).result
+
+
 # -- E16: chaos sweep — resilience & attack success under injected faults ---------
 
 
-@register_experiment("E16", "chaos sweep: availability and attack success under faults",
-                     grid={"queries_per_rate": (24,), "attack_budget": (32,)},
-                     supports=("workers", "checkpoint", "policy",
-                               "sweep_observer"))
-def e16_chaos(rates: Sequence[float] = (0.0, 0.2, 0.5),
-              queries_per_rate: int = 24, attack_budget: int = 32, *,
-              workers: Optional[int] = 1, checkpoint: Optional[str] = None,
-              resume: bool = False, policy=None,
-              sweep_observer=None) -> ExperimentResult:
-    """Fault-rate sweep plus the supervised-vs-unsupervised brute force.
+def _e16_trials(params):
+    _require_counts("E16", params, "queries_per_rate", "attack_budget")
+    # Every point is observed into a bare collector, rebuilt by the fold.
+    return chaos_tasks(params["rates"], seed=DEFAULT_CHAOS_SEED,
+                       queries_per_rate=params["queries_per_rate"],
+                       attack_budget=params["attack_budget"],
+                       observer=Collector())
 
-    ``checkpoint``/``resume``/``policy``/``sweep_observer`` flow straight
-    into :func:`~repro.core.chaos.run_chaos_sweep`: an E16 run killed
-    mid-sweep resumes from its journal with a byte-identical table.
-    """
-    from ..connman import DaemonSupervisor
-    from ..exploit import AslrBruteForcer
-    from ..obs import Collector
-    from .chaos import run_chaos_sweep
 
+def _e16_fold(_params, points) -> ExperimentResult:
     result = ExperimentResult(
         "E16", "chaos sweep: availability and attack success under faults",
         headers=("fault rate", "answered", "stale", "failed", "restarts",
@@ -728,13 +726,9 @@ def e16_chaos(rates: Sequence[float] = (0.0, 0.2, 0.5),
               "start-limit turns the attacker's crash-restart oracle off.",
     )
     collector = Collector()
-    report = run_chaos_sweep(rates, queries_per_rate=queries_per_rate,
-                             attack_budget=attack_budget, observer=collector,
-                             workers=workers, checkpoint=checkpoint,
-                             resume=resume, policy=policy,
-                             sweep_observer=sweep_observer)
+    cells = merge_chaos_results(collector, points)
     result.metrics = collector.metrics.to_dict()
-    for cell in report.cells:
+    for cell in cells:
         if cell.fault_rate == 0.0:
             expected = cell.failed == 0 and cell.stale == 0
         else:
@@ -765,12 +759,25 @@ def e16_chaos(rates: Sequence[float] = (0.0, 0.2, 0.5),
     return result
 
 
+@register_experiment("E16", "chaos sweep: availability and attack success under faults",
+                     grid={"queries_per_rate": (24,), "attack_budget": (32,)},
+                     trials=_e16_trials, run_trial=run_chaos_task,
+                     fold=_e16_fold)
+def e16_chaos(rates: Sequence[float] = (0.0, 0.2, 0.5),
+              queries_per_rate: int = 24,
+              attack_budget: int = 32) -> ExperimentResult:
+    """Fault-rate sweep plus the supervised-vs-unsupervised brute force."""
+    return run_experiment("E16", params={
+        "rates": rates, "queries_per_rate": queries_per_rate,
+        "attack_budget": attack_budget}).result
+
+
 def run_all() -> List[ExperimentResult]:
     """Every experiment, in DESIGN.md order — resolved from the registry.
 
     This used to be a second hand-written call list that had to be kept
     in sync with the CLI's dispatch table; now both walk the registry.
     """
-    from .registry import all_experiments, run_experiment
+    from .registry import all_experiments
 
     return [run_experiment(spec).result for spec in all_experiments()]

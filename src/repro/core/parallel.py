@@ -222,7 +222,6 @@ def run_supervised(worker: Callable[[T], R], tasks: Iterable[T], *,
                    policy: RunPolicy = SUPERVISED_POLICY,
                    observer: Optional["Collector"] = None,
                    checkpoint: Optional[SweepCheckpoint] = None,
-                   seed_of: Optional[Callable[[T], Optional[int]]] = None,
                    label: str = "sweep") -> SweepOutcome:
     """Run ``worker(task)`` for every task under full supervision.
 
@@ -235,7 +234,6 @@ def run_supervised(worker: Callable[[T], R], tasks: Iterable[T], *,
     """
     tasks = list(tasks)
     hooks = _ObserverHooks(observer, label)
-    seed_fn = seed_of if seed_of is not None else derive_task_seed
     stats = SweepStats(total=len(tasks))
     unset = object()
     slots: List[Any] = [unset] * len(tasks)
@@ -267,7 +265,7 @@ def run_supervised(worker: Callable[[T], R], tasks: Iterable[T], *,
             return True
         failure = TrialFailure(
             index=index, kind=kind, attempts=attempts[index], error=error,
-            seed=seed_fn(tasks[index]), task=repr(tasks[index])[:200],
+            seed=derive_task_seed(tasks[index]), task=repr(tasks[index])[:200],
             traceback=tb,
         )
         if policy.on_failure == "raise":
@@ -448,7 +446,6 @@ def run_tasks(worker: Callable[[T], R], tasks: Iterable[T], *,
               policy: Optional[RunPolicy] = None,
               observer: Optional["Collector"] = None,
               checkpoint: Optional[SweepCheckpoint] = None,
-              seed_of: Optional[Callable[[T], Optional[int]]] = None,
               label: str = "sweep") -> List[R]:
     """Run ``worker(task)`` for every task; results in task order.
 
@@ -475,7 +472,6 @@ def run_tasks(worker: Callable[[T], R], tasks: Iterable[T], *,
     if (checkpoint is None and observer is None
             and min(resolve_workers(workers), len(tasks)) <= 1
             and strict.retries == 0):
-        seed_fn = seed_of if seed_of is not None else derive_task_seed
         results: List[R] = []
         for index, task in enumerate(tasks):
             try:
@@ -483,10 +479,10 @@ def run_tasks(worker: Callable[[T], R], tasks: Iterable[T], *,
             except Exception as exc:  # re-raised with task context
                 raise TaskError(TrialFailure(
                     index=index, kind="error", attempts=1, error=repr(exc),
-                    seed=seed_fn(task), task=repr(task)[:200],
+                    seed=derive_task_seed(task), task=repr(task)[:200],
                 )) from exc
         return results
     outcome = run_supervised(worker, tasks, workers=workers, policy=strict,
                              observer=observer, checkpoint=checkpoint,
-                             seed_of=seed_of, label=label)
+                             label=label)
     return outcome.results

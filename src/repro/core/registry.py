@@ -10,14 +10,13 @@ hand.  This module replaces the wiring with data:
   predicate.  Registered with the :func:`register_experiment` decorator;
   the CLI resolves experiments from :data:`REGISTRY` instead of a
   hand-written table.
-* :func:`run_experiment` — the grid orchestrator.  It expands a spec's
-  parameter grid into seeded :class:`GridTrial`\\ s, shards them through
-  the supervised runner (:func:`~repro.core.parallel.run_supervised`)
-  with :class:`~repro.core.resume.SweepCheckpoint` journaling, and folds
-  the positional results into an :class:`ExperimentRun`.  The parity
-  invariant every prior PR preserved holds here too: trials carry their
+* :func:`run_experiment` — the one orchestrator.  It expands a spec's
+  grid into seeded :class:`GridTrial`\\ s, shards every point's tasks
+  through one supervised, journaled :func:`fan_out`, and folds each
+  point's results into an :class:`ExperimentRun`.  The parity
+  invariant every prior PR preserved holds here too: tasks carry their
   own derived seeds, so ``workers=N`` is bit-identical to sequential and
-  a killed, ``--resume``\\ d grid reproduces the uninterrupted artifact
+  a killed, ``--resume``\\ d run reproduces the uninterrupted artifact
   byte for byte.
 * the ``repro-results/v1`` columnar artifact — one JSONL row per trial
   (parameters, derived seed, outcome, metrics, full result table) that
@@ -44,13 +43,14 @@ import inspect
 import itertools
 import zlib
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..obs import Collector
 from ..obs.slo import (SWEEP_SLOS, SloReport, SloRule, evaluate_slos,
                        parse_rules)
-from .parallel import DEFAULT_POLICY, RunPolicy, SweepStats, run_supervised
+from .parallel import (DEFAULT_POLICY, RunPolicy, SweepOutcome, SweepStats,
+                       run_supervised)
 from .report import render_table
 from .resume import (RESULTS_SCHEMA, SweepCheckpoint, TrialFailure,
                      grid_hash as compute_grid_hash)
@@ -91,6 +91,12 @@ class GridTrial:
         return dict(self.params)
 
 
+def _run_grid_trial(trial: GridTrial) -> Any:
+    """Default task worker: call the runner once for a whole grid point."""
+    _ensure_registered()
+    return REGISTRY[trial.experiment].runner(**trial.params_dict())
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One registered experiment: everything the harness needs to run,
@@ -100,10 +106,12 @@ class ExperimentSpec:
     registrations pin each axis to the runner's default (one grid point,
     exactly the legacy call), and ``repro run --grid`` or
     :func:`run_experiment`'s ``grid=`` widen axes into real sweeps.
-    ``supports`` lists the passthrough kwargs the runner itself accepts
-    (``workers``/``checkpoint``/``resume``/``policy``/``sweep_observer``)
-    so single-point runs delegate supervision to the experiment's own
-    inner sweep at trial granularity.
+
+    A sweep splits each grid point into tasks: ``trial_plan(params)``
+    returns frozen, seeded task specs, the module-level ``run_trial(task)``
+    runs one, and ``fold(params, results)`` builds the point's result
+    (``params`` include the runner's defaults).  Without them a point is
+    one task: the runner, called once.
     """
 
     id: str
@@ -111,14 +119,13 @@ class ExperimentSpec:
     runner: Callable[..., Any]
     grid: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
     entropy: int = 0
-    #: Runner kwarg that receives the trial's derived seed (None: the
-    #: runner self-seeds; the derived seed is provenance/failure context).
-    seed_param: Optional[str] = None
     slos: Tuple[SloRule, ...] = SWEEP_SLOS
     expected: Callable[[Any], bool] = field(default=lambda result: result.all_pass)
     expected_doc: str = "every row's expected column says ok"
-    supports: FrozenSet[str] = frozenset()
     description: str = ""
+    trial_plan: Optional[Callable[[Dict[str, Any]], Sequence[Any]]] = None
+    run_trial: Callable[[Any], Any] = _run_grid_trial
+    fold: Optional[Callable[[Dict[str, Any], List[Any]], Any]] = None
 
     def grid_points(self, grid: Optional[Mapping[str, Sequence[Any]]] = None,
                     params: Optional[Mapping[str, Any]] = None
@@ -170,6 +177,24 @@ class ExperimentSpec:
         """Stable identity of the default grid (checkpoint/resume pin it)."""
         return compute_grid_hash(self.trials())
 
+    def bind(self, trial: GridTrial) -> Dict[str, Any]:
+        """The point's parameters completed with the runner's defaults."""
+        bound = inspect.signature(self.runner).bind(**trial.params_dict())
+        bound.apply_defaults()
+        return dict(bound.arguments)
+
+    def tasks(self, trial: GridTrial) -> List[Any]:
+        """One grid point's task specs (the point itself by default)."""
+        if self.trial_plan is None:
+            return [trial]
+        return list(self.trial_plan(self.bind(trial)))
+
+    def fold_results(self, trial: GridTrial, results: List[Any]) -> Any:
+        """One grid point's result from its tasks' positional results."""
+        if self.fold is None:
+            return results[0]
+        return self.fold(self.bind(trial), results)
+
     def describe_row(self) -> Tuple:
         axes = ", ".join(f"{name}={list(values)!r}" for name, values in self.grid)
         return (
@@ -177,7 +202,6 @@ class ExperimentSpec:
             self.title[:56],
             axes if axes else "-",
             len(self.grid_points()),
-            ",".join(sorted(self.supports)) if self.supports else "-",
         )
 
 
@@ -188,18 +212,24 @@ REGISTRY: Dict[str, ExperimentSpec] = {}
 def register_experiment(experiment_id: str, title: str, *,
                         grid: Optional[Mapping[str, Sequence[Any]]] = None,
                         entropy: Optional[int] = None,
-                        seed_param: Optional[str] = None,
                         slos: Sequence[SloRule] = SWEEP_SLOS,
                         expected: Optional[Callable[[Any], bool]] = None,
                         expected_doc: str = "every row's expected column says ok",
-                        supports: Iterable[str] = (),
-                        description: str = ""):
+                        description: str = "",
+                        trials: Optional[Callable[[Dict[str, Any]], Sequence[Any]]] = None,
+                        run_trial: Optional[Callable[[Any], Any]] = None,
+                        fold: Optional[Callable[[Dict[str, Any], List[Any]], Any]] = None):
     """Decorator: declare one experiment into :data:`REGISTRY`.
 
     The decorated runner is returned unchanged (legacy callers keep
     working); its spec is reachable as ``runner.spec`` and through
-    :func:`get_experiment`.
+    :func:`get_experiment`.  A sweep experiment passes all three of
+    ``trials``/``run_trial``/``fold`` (see :class:`ExperimentSpec`).
     """
+    if len({part is None for part in (trials, run_trial, fold)}) > 1:
+        raise ValueError(f"{experiment_id}: declare trials, run_trial and "
+                         "fold together")
+
     def decorate(runner: Callable[..., Any]) -> Callable[..., Any]:
         if experiment_id in REGISTRY:
             raise ValueError(f"experiment {experiment_id!r} registered twice")
@@ -214,13 +244,14 @@ def register_experiment(experiment_id: str, title: str, *,
                               for name, values in (grid or {}).items())),
             entropy=(derive_seed("repro.experiments", experiment_id)
                      if entropy is None else entropy),
-            seed_param=seed_param,
             slos=parse_rules(slos),
             expected=expected if expected is not None
             else (lambda result: result.all_pass),
             expected_doc=expected_doc,
-            supports=frozenset(supports),
             description=doc,
+            trial_plan=trials,
+            run_trial=run_trial if run_trial is not None else _run_grid_trial,
+            fold=fold,
         )
         REGISTRY[experiment_id] = spec
         runner.spec = spec
@@ -253,16 +284,6 @@ def experiment_ids() -> List[str]:
 def _ensure_registered() -> None:
     """Import the registrations (idempotent; matters for spawn workers)."""
     from . import experiments  # noqa: F401  (decorators populate REGISTRY)
-
-
-def _run_grid_trial(trial: GridTrial) -> Any:
-    """Pool worker: execute one grid point (module-level, picklable)."""
-    _ensure_registered()
-    spec = REGISTRY[trial.experiment]
-    kwargs = trial.params_dict()
-    if spec.seed_param is not None:
-        kwargs.setdefault(spec.seed_param, trial.seed)
-    return spec.runner(**kwargs)
 
 
 # -- outcomes ----------------------------------------------------------------------
@@ -371,8 +392,36 @@ class ExperimentRun:
         return {"header": self.artifact_header(), "rows": self.artifact_rows()}
 
 
-def _checkpoint_experiment_id(spec: ExperimentSpec) -> str:
-    return f"{spec.id}.grid"
+def fan_out(worker: Callable[[Any], Any], tasks: Sequence[Any], *,
+            journal: str, seed: int,
+            workers: Optional[int] = 1,
+            policy: Optional[RunPolicy] = None,
+            checkpoint: Optional[str] = None,
+            resume: bool = False,
+            observer: Optional[Collector] = None,
+            label: str = "sweep") -> SweepOutcome:
+    """Run ``worker`` over ``tasks`` supervised, journaled to ``checkpoint``.
+
+    The one caller of :func:`~repro.core.parallel.run_supervised` and
+    :class:`~repro.core.resume.SweepCheckpoint`.  The journal pins the
+    ``journal`` id, the task digest and count, and ``seed``; resuming one
+    written for other tasks raises ``CheckpointMismatch``.
+    """
+    checkpoint_journal = None
+    if checkpoint is not None:
+        checkpoint_journal = SweepCheckpoint(
+            checkpoint, experiment=journal, grid_hash=compute_grid_hash(tasks),
+            total=len(tasks), seed=seed, resume=resume,
+        )
+    try:
+        return run_supervised(
+            worker, tasks, workers=workers,
+            policy=policy if policy is not None else DEFAULT_POLICY,
+            observer=observer, checkpoint=checkpoint_journal, label=label,
+        )
+    finally:
+        if checkpoint_journal is not None:
+            checkpoint_journal.close()
 
 
 def run_experiment(spec_or_id, *,
@@ -383,16 +432,16 @@ def run_experiment(spec_or_id, *,
                    checkpoint: Optional[str] = None,
                    resume: bool = False,
                    sweep_observer: Optional[Collector] = None) -> ExperimentRun:
-    """Run one registered experiment through the grid orchestrator.
+    """Run one registered experiment: expand, fan out, fold.
 
-    Single-point grids whose runner natively supports the requested
-    facilities delegate to the experiment's *inner* sweep (checkpointing
-    at trial granularity — ``repro run E15 --checkpoint`` journals every
-    brute-force trial, not one opaque blob).  Everything else fans the
-    grid out over :func:`~repro.core.parallel.run_supervised`: trials are
-    seeded and positional, ``workers=N`` reproduces sequential results
-    bit for bit, and a ``checkpoint``-journaled run killed mid-grid
-    resumes (``resume=True``) into a byte-identical artifact.
+    Every grid point's tasks (:meth:`ExperimentSpec.tasks`) go through
+    one :func:`fan_out` journaled as ``"<id>.grid"``, one journal line
+    per task.  Results are sliced back per point and folded; a point with
+    a quarantined task is a ``quarantined`` trial carrying that
+    :class:`~repro.core.resume.TrialFailure` (whose ``index`` counts
+    tasks).  Tasks carry their own seeds, so ``workers=N`` is
+    bit-identical to sequential and a killed run resumes
+    (``resume=True``) into a byte-identical artifact.
 
     The spec's SLO rules are evaluated against ``sweep_observer`` (one is
     created when not supplied) and attached as ``run.slo_report`` —
@@ -402,68 +451,30 @@ def run_experiment(spec_or_id, *,
     spec = (get_experiment(spec_or_id) if isinstance(spec_or_id, str)
             else spec_or_id)
     trials = spec.trials(grid, params)
-    hash_ = compute_grid_hash(trials)
     observer = sweep_observer if sweep_observer is not None else Collector()
+    plans = [spec.tasks(trial) for trial in trials]
+    outcome = fan_out(
+        spec.run_trial, [task for plan in plans for task in plan],
+        journal=f"{spec.id}.grid", seed=spec.entropy, workers=workers,
+        policy=policy, checkpoint=checkpoint, resume=resume,
+        observer=observer, label=spec.id,
+    )
+    outcomes: List[TrialOutcome] = []
+    start = 0
+    for trial, plan in zip(trials, plans):
+        results = outcome.results[start:start + len(plan)]
+        start += len(plan)
+        verdict = TrialOutcome(index=trial.index, params=trial.params_dict(),
+                               seed=trial.seed)
+        verdict.failure = next((result for result in results
+                                if isinstance(result, TrialFailure)), None)
+        if verdict.failure is None:
+            verdict.result = spec.fold_results(trial, results)
+            verdict.expected_ok = bool(spec.expected(verdict.result))
+        outcomes.append(verdict)
 
-    wants = set()
-    if checkpoint is not None or resume:
-        wants.add("checkpoint")
-    if policy is not None:
-        wants.add("policy")
-    inner = len(trials) == 1 and wants <= spec.supports
-
-    outcomes: List[TrialOutcome]
-    stats: Optional[SweepStats] = None
-    if inner:
-        kwargs = trials[0].params_dict()
-        if spec.seed_param is not None:
-            kwargs.setdefault(spec.seed_param, trials[0].seed)
-        if "workers" in spec.supports:
-            kwargs["workers"] = workers
-        if "checkpoint" in spec.supports and (checkpoint is not None or resume):
-            kwargs["checkpoint"] = checkpoint
-            kwargs["resume"] = resume
-        if "policy" in spec.supports and policy is not None:
-            kwargs["policy"] = policy
-        if "sweep_observer" in spec.supports:
-            kwargs["sweep_observer"] = observer
-        result = spec.runner(**kwargs)
-        outcomes = [TrialOutcome(
-            index=0, params=trials[0].params_dict(), seed=trials[0].seed,
-            result=result, expected_ok=bool(spec.expected(result)),
-        )]
-    else:
-        journal = None
-        if checkpoint is not None:
-            journal = SweepCheckpoint(
-                checkpoint, experiment=_checkpoint_experiment_id(spec),
-                grid_hash=hash_, total=len(trials), seed=spec.entropy,
-                resume=resume,
-            )
-        try:
-            outcome = run_supervised(
-                _run_grid_trial, trials, workers=workers,
-                policy=policy if policy is not None else DEFAULT_POLICY,
-                observer=observer, checkpoint=journal, label=spec.id,
-            )
-        finally:
-            if journal is not None:
-                journal.close()
-        stats = outcome.stats
-        outcomes = []
-        for trial, payload in zip(trials, outcome.results):
-            if isinstance(payload, TrialFailure):
-                outcomes.append(TrialOutcome(
-                    index=trial.index, params=trial.params_dict(),
-                    seed=trial.seed, failure=payload))
-            else:
-                outcomes.append(TrialOutcome(
-                    index=trial.index, params=trial.params_dict(),
-                    seed=trial.seed, result=payload,
-                    expected_ok=bool(spec.expected(payload))))
-
-    run = ExperimentRun(spec=spec, grid_hash=hash_, trials=outcomes,
-                        stats=stats)
+    run = ExperimentRun(spec=spec, grid_hash=compute_grid_hash(trials),
+                        trials=outcomes, stats=outcome.stats)
     run.slo_report = evaluate_slos(spec.slos, observer, emit=False)
     return run
 
@@ -474,7 +485,7 @@ def run_experiment(spec_or_id, *,
 def render_registry_table() -> str:
     """`repro experiments --list`: the registry as a verdictless table."""
     return render_table(
-        ("id", "title", "grid axes", "trials", "passthrough"),
+        ("id", "title", "grid axes", "trials"),
         [spec.describe_row() for spec in all_experiments()],
         title=f"experiment registry ({len(REGISTRY)} experiments)",
     )
@@ -483,13 +494,12 @@ def render_registry_table() -> str:
 def registry_index_markdown() -> str:
     """The EXPERIMENTS.md registry index (regenerated, not hand-edited)."""
     lines = [
-        "| Exp | Title | Grid axes | Passthrough |",
-        "|---|---|---|---|",
+        "| Exp | Title | Grid axes |",
+        "|---|---|---|",
     ]
     for spec in all_experiments():
         axes = ", ".join(f"`{name}`" for name, _values in spec.grid) or "—"
-        passthrough = ", ".join(f"`{name}`" for name in sorted(spec.supports)) or "—"
-        lines.append(f"| {spec.id} | {spec.title} | {axes} | {passthrough} |")
+        lines.append(f"| {spec.id} | {spec.title} | {axes} |")
     return "\n".join(lines)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
 from ..connman import ConnmanDaemon
 from ..defenses import NONE, WX, WX_ASLR, ProtectionProfile
@@ -35,9 +35,6 @@ from ..exploit import (
 from .scenarios import AttackScenario, attacker_knowledge
 
 ASLR_ONLY = ProtectionProfile(wx=False, aslr=True)
-
-#: Checkpoint identity for the reliability study (resume validates it).
-RELIABILITY_EXPERIMENT_ID = "E14.reliability"
 
 
 @dataclass(frozen=True)
@@ -86,16 +83,29 @@ STUDY_PLAN = (
 )
 
 
-def _reliability_cell(task: Tuple[int, int, int]) -> ReliabilityCell:
-    """Worker: one STUDY_PLAN row's full trial series (pool-picklable).
+@dataclass(frozen=True)
+class ReliabilityTask:
+    """One STUDY_PLAN row's full trial series (pool-picklable)."""
+
+    plan_index: int
+    trials: int
+    seed: int
+
+
+def reliability_tasks(trials: int = 10, seed: int = 0xE14) -> List[ReliabilityTask]:
+    """One task per STUDY_PLAN row, in plan order."""
+    return [ReliabilityTask(index, trials, seed) for index in range(len(STUDY_PLAN))]
+
+
+def run_reliability_cell(task: ReliabilityTask) -> ReliabilityCell:
+    """Worker: build one row's exploit once, deliver it to fresh boots.
 
     Each cell's rng is derived from a stable digest of the cell key, never
     from other cells' progress — so the fan-out is order-independent and
     ``workers=N`` reproduces the sequential study exactly.
     """
-    plan_index, trials, seed = task
     label, arch, builder_cls, recon_profile, blind, victim_profile, expectation = (
-        STUDY_PLAN[plan_index]
+        STUDY_PLAN[task.plan_index]
     )
     knowledge = attacker_knowledge(
         AttackScenario(arch, "reliability", recon_profile)
@@ -108,10 +118,10 @@ def _reliability_cell(task: Tuple[int, int, int]) -> ReliabilityCell:
     # a different derived seed could hand the 1-in-2^entropy win to a
     # 6-trial run.  A stable digest keeps E14 bit-identical everywhere.
     cell_key = f"{label}/{arch}/{victim_profile.label()}"
-    rng = random.Random(seed ^ (zlib.crc32(cell_key.encode()) & 0xFFFF))
+    rng = random.Random(task.seed ^ (zlib.crc32(cell_key.encode()) & 0xFFFF))
     successes = 0
     victim = ConnmanDaemon(arch=arch, profile=victim_profile, rng=rng)
-    for _trial in range(trials):
+    for _trial in range(task.trials):
         if not victim.alive:
             victim.restart()
         if deliver(exploit, victim, rng=rng).got_root_shell:
@@ -122,42 +132,15 @@ def _reliability_cell(task: Tuple[int, int, int]) -> ReliabilityCell:
         arch=arch,
         victim_profile=victim_profile.label(),
         successes=successes,
-        trials=trials,
+        trials=task.trials,
         expectation=expectation,
     )
 
 
-def run_reliability_study(trials: int = 10, seed: int = 0xE14, *,
-                          workers: Optional[int] = 1, policy=None,
-                          checkpoint: Optional[str] = None,
-                          resume: bool = False,
-                          observer=None) -> List[ReliabilityCell]:
+def run_reliability_study(trials: int = 10, seed: int = 0xE14) -> List[ReliabilityCell]:
     """Build each exploit once, deliver it to ``trials`` fresh boots.
 
-    Like the entropy sweep, the study journals per STUDY_PLAN cell when
-    given a ``checkpoint`` path: a killed run resumes (``resume=True``)
-    by re-executing only the cells the journal is missing, and the cells
-    are seed-independent, so the resumed table matches the uninterrupted
-    one exactly.
+    One cell after the other, in process; ``repro run E14`` runs the same
+    tasks through the registry's supervised, journaled fan-out.
     """
-    from .parallel import run_tasks
-    from .resume import SweepCheckpoint, grid_hash
-
-    tasks = [(index, trials, seed) for index in range(len(STUDY_PLAN))]
-    journal = None
-    if checkpoint is not None:
-        journal = SweepCheckpoint(
-            checkpoint, experiment=RELIABILITY_EXPERIMENT_ID,
-            grid_hash=grid_hash(tasks), total=len(tasks), seed=seed,
-            resume=resume,
-        )
-    try:
-        # seed_of: failure context for tuple-shaped tasks (the derived
-        # study seed lives in slot 2 of each spec).
-        return run_tasks(_reliability_cell, tasks, workers=workers,
-                         policy=policy, checkpoint=journal,
-                         observer=observer, seed_of=lambda task: task[2],
-                         label="reliability")
-    finally:
-        if journal is not None:
-            journal.close()
+    return [run_reliability_cell(task) for task in reliability_tasks(trials, seed)]

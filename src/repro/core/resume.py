@@ -125,8 +125,8 @@ def derive_task_seed(task: Any) -> Optional[int]:
 
     Seeded specs in this codebase expose one of these attributes
     (:class:`~repro.exploit.bruteforce.BruteForceTrial` has
-    ``victim_seed``/``derived_seed``); tuple-shaped tasks pass an
-    explicit ``seed_of`` callable to the runner instead.
+    ``victim_seed``/``derived_seed``, the chaos and reliability tasks
+    ``seed``).
     """
     for attr in ("derived_seed", "victim_seed", "seed"):
         value = getattr(task, attr, None)

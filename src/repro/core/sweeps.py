@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from ..exploit import BruteForceTrial, run_bruteforce_trial
-from .parallel import RunPolicy, run_tasks
+from ..exploit import BruteForceResult, BruteForceTrial, run_bruteforce_trial
 from .registry import derive_seed
-from .resume import SweepCheckpoint, grid_hash
 
 DEFAULT_ENTROPY_SERIES = (16, 64, 256, 1024)
 
-#: Checkpoint identity for the entropy sweep (resume validates against it).
-ENTROPY_EXPERIMENT_ID = "E15.entropy"
+#: Seed namespace of the series' victim/attacker streams.
+ENTROPY_SEED_KEY = "E15.entropy"
 
 
 @dataclass(frozen=True)
@@ -60,60 +58,38 @@ class EntropyPoint:
         )
 
 
-def sweep_bruteforce_entropy(
-    entropy_series: Sequence[int] = DEFAULT_ENTROPY_SERIES,
-    runs_per_point: int = 5,
-    seed: int = 0xE15,
-    *,
-    workers: Optional[int] = 1,
-    policy: Optional[RunPolicy] = None,
-    checkpoint: Optional[str] = None,
-    resume: bool = False,
-    observer=None,
-) -> List[EntropyPoint]:
-    """Median brute-force attempts as the randomization span grows.
-
-    Every (entropy, run) trial carries its own derived seed, so the fan-out
-    is order-independent: ``workers=N`` produces the exact attempt lists of
-    the sequential sweep — and a ``checkpoint``-journaled run killed
-    mid-sweep resumes (``resume=True``) to the same lists, re-executing
-    only the missing trials.  This series needs every trial (the medians
-    are positional), so the sweep stays strict: a trial that exhausts the
-    policy's retry budget raises :class:`~repro.core.resume.TaskError`
-    with its index and derived victim seed attached.
+def entropy_trials(entropy_series: Sequence[int] = DEFAULT_ENTROPY_SERIES,
+                   runs_per_point: int = 5,
+                   seed: int = 0xE15) -> List[BruteForceTrial]:
+    """Every (entropy, run) brute-force trial, each with its own seeds.
 
     Seeds come from :func:`~repro.core.registry.derive_seed` (crc32 over
-    ``experiment/entropy/run/role``).  The old XOR-plus-one stacking made
+    ``namespace/entropy/run/role``).  The old XOR-plus-one stacking made
     run N's attacker share run N+1's victim stream (``(base^run)+1 ==
     base^(run+1)`` whenever ``run`` is even), quietly correlating
     adjacent trials of the very independence this series measures.
     """
-    trials = [
+    return [
         BruteForceTrial(
             victim_seed=seed ^ derive_seed(
-                ENTROPY_EXPERIMENT_ID, entropy, run, "victim"),
+                ENTROPY_SEED_KEY, entropy, run, "victim"),
             attacker_seed=seed ^ derive_seed(
-                ENTROPY_EXPERIMENT_ID, entropy, run, "attacker"),
+                ENTROPY_SEED_KEY, entropy, run, "attacker"),
             max_attempts=entropy * 16,
             entropy_pages=entropy,
         )
         for entropy in entropy_series
         for run in range(runs_per_point)
     ]
-    journal = None
-    if checkpoint is not None:
-        journal = SweepCheckpoint(
-            checkpoint, experiment=ENTROPY_EXPERIMENT_ID,
-            grid_hash=grid_hash(trials), total=len(trials), seed=seed,
-            resume=resume,
-        )
-    try:
-        results = run_tasks(run_bruteforce_trial, trials, workers=workers,
-                            policy=policy, checkpoint=journal,
-                            observer=observer, label="entropy")
-    finally:
-        if journal is not None:
-            journal.close()
+
+
+def entropy_points(entropy_series: Sequence[int], runs_per_point: int,
+                   results: Sequence[BruteForceResult]) -> List[EntropyPoint]:
+    """Fold :func:`entropy_trials`' positional results into the series.
+
+    The medians need every trial, so a trial that did not succeed is an
+    error, not a data point.
+    """
     points: List[EntropyPoint] = []
     for index, entropy in enumerate(entropy_series):
         slice_ = results[index * runs_per_point : (index + 1) * runs_per_point]
@@ -124,3 +100,18 @@ def sweep_bruteforce_entropy(
                          attempts=[result.attempts for result in slice_])
         )
     return points
+
+
+def sweep_bruteforce_entropy(
+    entropy_series: Sequence[int] = DEFAULT_ENTROPY_SERIES,
+    runs_per_point: int = 5,
+    seed: int = 0xE15,
+) -> List[EntropyPoint]:
+    """Median brute-force attempts as the randomization span grows.
+
+    One trial after the other, in process; ``repro run E15`` runs the same
+    trials through the registry's supervised, journaled fan-out.
+    """
+    trials = entropy_trials(entropy_series, runs_per_point, seed)
+    return entropy_points(entropy_series, runs_per_point,
+                          [run_bruteforce_trial(trial) for trial in trials])

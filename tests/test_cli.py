@@ -35,6 +35,13 @@ class TestParser:
         assert exit_info.value.code == 2
         assert argv[1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rates", ["1.5", "-0.1", "nan", "0,NaN", "inf",
+                                       "0,x"])
+    def test_chaos_rejects_rates_outside_unit_interval(self, rates):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--rates", rates])
+        assert "--rates" in str(exit_info.value.code)
+
 
 class TestCommands:
     def test_matrix(self, capsys):

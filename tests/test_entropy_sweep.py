@@ -72,12 +72,12 @@ class TestTrialSeedIndependence:
 
     def _trial_seeds(self, entropy_series=(16, 64), runs_per_point=6, seed=0xE15):
         from repro.core.registry import derive_seed
-        from repro.core.sweeps import ENTROPY_EXPERIMENT_ID
+        from repro.core.sweeps import ENTROPY_SEED_KEY
 
         return [
             (entropy, run,
-             seed ^ derive_seed(ENTROPY_EXPERIMENT_ID, entropy, run, "victim"),
-             seed ^ derive_seed(ENTROPY_EXPERIMENT_ID, entropy, run, "attacker"))
+             seed ^ derive_seed(ENTROPY_SEED_KEY, entropy, run, "victim"),
+             seed ^ derive_seed(ENTROPY_SEED_KEY, entropy, run, "attacker"))
             for entropy in entropy_series
             for run in range(runs_per_point)
         ]
@@ -93,24 +93,25 @@ class TestTrialSeedIndependence:
             assert attacker != next_victim
 
     def test_sweep_consumes_the_derived_seeds(self):
-        """The fix lives in the sweep itself, not just the helper."""
-        import repro.core.sweeps as sweeps
+        """The fix lives in the trials E15 dispatches, not just the helper."""
+        import repro.core.registry as registry
+        from repro.core.sweeps import DEFAULT_ENTROPY_SERIES
         from repro.exploit import BruteForceTrial
 
         captured = []
+        original = registry.run_supervised
 
         def _spy(task_fn, tasks, **kwargs):
             captured.extend(tasks)
-            from repro.core.parallel import run_tasks
-            return run_tasks(task_fn, tasks, **kwargs)
+            return original(task_fn, tasks, **kwargs)
 
-        original = sweeps.run_tasks
-        sweeps.run_tasks = _spy
+        registry.run_supervised = _spy
         try:
-            sweep_bruteforce_entropy(entropy_series=(8,), runs_per_point=2)
+            registry.run_experiment("E15", params={"runs_per_point": 2})
         finally:
-            sweeps.run_tasks = original
-        expected = self._trial_seeds(entropy_series=(8,), runs_per_point=2)
+            registry.run_supervised = original
+        expected = self._trial_seeds(entropy_series=DEFAULT_ENTROPY_SERIES,
+                                     runs_per_point=2)
         assert [(t.victim_seed, t.attacker_seed) for t in captured] == [
             (victim, attacker) for _, _, victim, attacker in expected]
         assert all(isinstance(t, BruteForceTrial) for t in captured)

@@ -7,14 +7,13 @@ import pytest
 
 from repro.core import (
     collect_baseline,
+    e14_reliability,
     resolve_workers,
     run_chaos_sweep,
-    run_reliability_study,
+    run_experiment,
     run_tasks,
-    sweep_bruteforce_entropy,
     validate_baseline,
 )
-from repro.core.experiments import e10_bruteforce
 from repro.obs import Collector
 from repro.obs.metrics import Histogram, MetricsRegistry
 
@@ -48,11 +47,12 @@ class TestParallelParity:
     """workers=N must reproduce the sequential results bit for bit."""
 
     def test_entropy_sweep_parallel_matches_sequential(self):
-        kwargs = dict(entropy_series=(16, 64), runs_per_point=2)
-        sequential = sweep_bruteforce_entropy(workers=1, **kwargs)
-        parallel = sweep_bruteforce_entropy(workers=2, **kwargs)
-        assert [point.attempts for point in parallel] == \
-               [point.attempts for point in sequential]
+        # Two runs per point: each row's median and range pin both
+        # attempt counts.
+        params = {"runs_per_point": 2}
+        sequential = run_experiment("E15", params=params, workers=1)
+        parallel = run_experiment("E15", params=params, workers=2)
+        assert parallel.result.rows == sequential.result.rows
 
     def test_chaos_sweep_parallel_matches_sequential(self):
         kwargs = dict(queries_per_rate=6, attack_budget=6)
@@ -106,14 +106,15 @@ class TestParallelParity:
                json.dumps(seq_dict, sort_keys=True)
 
     def test_reliability_study_parallel_matches_sequential(self):
-        sequential = run_reliability_study(trials=2, workers=1)
-        parallel = run_reliability_study(trials=2, workers=2)
-        assert parallel == sequential
+        sequential = run_experiment("E14", params={"trials": 2}, workers=1)
+        parallel = run_experiment("E14", params={"trials": 2}, workers=2)
+        assert parallel.result.rows == sequential.result.rows
+        assert sequential.result.rows == e14_reliability(trials=2).rows
 
     def test_e10_parallel_matches_sequential(self):
-        sequential = e10_bruteforce(max_attempts=512, workers=1)
-        parallel = e10_bruteforce(max_attempts=512, workers=2)
-        assert parallel.rows == sequential.rows
+        sequential = run_experiment("E10", params={"max_attempts": 512}, workers=1)
+        parallel = run_experiment("E10", params={"max_attempts": 512}, workers=2)
+        assert parallel.result.rows == sequential.result.rows
 
 
 class TestMetricsMerge:

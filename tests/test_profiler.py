@@ -210,16 +210,17 @@ class TestOutcomeParity:
         assert outcomes[0] == outcomes[1]
 
     def test_e16_chaos_table_identical(self):
-        from repro.core import e16_chaos
+        from repro.core import run_experiment
 
         rows = []
         for profiled in (False, True):
             observer = Collector()
             if profiled:
                 observer.attach_profiler(DeterministicProfiler())
-            result = e16_chaos(rates=(0.0, 0.3), queries_per_rate=4,
-                               attack_budget=4, sweep_observer=observer)
-            rows.append(result.rows)
+            run = run_experiment("E16", params={
+                "rates": (0.0, 0.3), "queries_per_rate": 4,
+                "attack_budget": 4}, sweep_observer=observer)
+            rows.append(run.result.rows)
         assert rows[0] == rows[1]
 
 
