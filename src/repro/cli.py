@@ -18,8 +18,6 @@
     python -m repro bruteforce
     python -m repro offpath --burst 2048
     python -m repro chaos --rates 0,0.2,0.5 --workers 2
-    python -m repro bench --emit benchmarks/BENCH.json
-    python -m repro bench --compare benchmarks/BENCH.json   # regression gate
     python -m repro dash --once --json      # campaign dashboard (series + SLOs)
     python -m repro dash --scenario crash --once            # forced-crash board
     python -m repro trace-events --json     # observed chaos point: event trace
@@ -101,7 +99,9 @@ def cmd_report(args) -> int:
     Every experiment runs through the registry and renders from its
     ``repro-results/v1`` document — the same artifact ``repro run
     --results`` writes, ``--results PATH`` re-reads, and ``--emit-results
-    DIR`` persists for the dash/bench consumers.
+    DIR`` persists for ``repro dash --results``.  Exits 1 when any row
+    is not a pass with its expected outcome, 2 when an artifact cannot
+    be read.
     """
     import json
     import os
@@ -209,9 +209,9 @@ def cmd_run(args) -> int:
     one task at a time (a brute-force trial, a reliability cell, a chaos
     point, or a whole grid point for single-task experiments), and
     ``--results PATH`` writes the ``repro-results/v1`` artifact that
-    ``repro report --results``, ``repro dash --results``, and the bench
-    gate consume.  Parameters that fail an experiment's checks (a count
-    below 1, an unknown name) exit 2 before any task runs.
+    ``repro report --results`` and ``repro dash --results`` consume.
+    Parameters that fail an experiment's checks (a count below 1, an
+    unknown name) exit 2 before any task runs.
     """
     import json
     import os
@@ -716,90 +716,6 @@ def cmd_pcap(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Emulator microbenchmark: decode-cache on/off, committed baseline.
-
-    ``--compare PATH`` turns the run into the regression gate: the fresh
-    payload is measured against the committed baseline and a perf-history
-    line is appended to the trajectory file.  Any validation failure or
-    gate regression exits non-zero with a message on stderr.
-    """
-    import json
-
-    from .core import (append_trajectory, collect_baseline, compare_baseline,
-                       describe_attribution, describe_comparison,
-                       profile_attribution, trajectory_entry,
-                       validate_baseline)
-
-    try:
-        payload = validate_baseline(collect_baseline(steps=args.steps))
-    except ValueError as error:
-        print(f"repro bench: fresh payload failed validation: {error}",
-              file=sys.stderr)
-        return 1
-    attribution = None
-    if getattr(args, "profile", False):
-        attribution = profile_attribution(steps=args.steps)
-        print(describe_attribution(attribution))
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.emit}")
-    for entry in payload["benchmarks"]:
-        print(f"BENCH {entry['name']}: "
-              f"{entry['decode_call_ratio']:.1f}x fewer decode() calls, "
-              f"{entry['wall_speedup']:.2f}x wall speedup "
-              f"({entry['cached']['steps_per_s']:,.0f} steps/s cached)")
-    # Correctness leg of the gate: a repro-results/v1 artifact from a
-    # registry run must be all-pass for the bench verdict to stay green.
-    results_gate_ok = True
-    if getattr(args, "results", None):
-        from .core.registry import results_ok
-        from .core.resume import load_results
-
-        try:
-            header, rows = load_results(args.results)
-        except (OSError, ValueError) as error:
-            print(f"repro bench: cannot read results artifact "
-                  f"{args.results}: {error}", file=sys.stderr)
-            return 1
-        results_gate_ok = results_ok(rows)
-        verdict = "ok" if results_gate_ok else "FAIL"
-        print(f"results gate [{verdict}]: {header['experiment']} "
-              f"({header['total']} trials, grid {header['grid_hash']})")
-        if not results_gate_ok:
-            print(f"repro bench: results artifact {args.results} carries "
-                  "failed or unexpected trials", file=sys.stderr)
-    if args.compare:
-        try:
-            with open(args.compare, "r", encoding="utf-8") as handle:
-                committed = json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
-            print(f"repro bench: cannot read baseline {args.compare}: {error}",
-                  file=sys.stderr)
-            return 1
-        try:
-            result = compare_baseline(committed, payload)
-        except ValueError as error:
-            print(f"repro bench: baseline {args.compare} failed validation: "
-                  f"{error}", file=sys.stderr)
-            return 1
-        print(describe_comparison(result))
-        trajectory = args.trajectory or "benchmarks/trajectory.jsonl"
-        append_trajectory(trajectory, trajectory_entry(
-            payload, result["ok"], attribution=attribution))
-        print(f"trajectory: appended to {trajectory}")
-        if not result["ok"]:
-            print("repro bench: performance regression against "
-                  f"{args.compare}", file=sys.stderr)
-            return 1
-        return 0 if results_gate_ok else 1
-    if not args.emit:
-        print(text)
-    return 0 if results_gate_ok else 1
-
-
 def _dash_collector(args):
     """Run the selected scenario under a series-attached collector."""
     from .obs import Collector, DeterministicProfiler, TimeSeriesStore
@@ -1034,28 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "counters land in the artifact, outcome cells "
                             "stay byte-identical")
     chaos.set_defaults(run=cmd_chaos)
-
-    bench = subparsers.add_parser(
-        "bench", help="emulator microbenchmark (decode cache on vs off)")
-    bench.add_argument("--steps", type=_positive_int, default=12_000,
-                       help="emulated instructions per measurement")
-    bench.add_argument("--emit", metavar="PATH",
-                       help="write the repro-bench/v2 JSON baseline to PATH")
-    bench.add_argument("--compare", metavar="PATH",
-                       help="regression gate: compare the fresh run against "
-                            "the committed baseline at PATH")
-    bench.add_argument("--trajectory", metavar="PATH", default=None,
-                       help="perf-history JSONL appended in --compare mode "
-                            "(default benchmarks/trajectory.jsonl)")
-    bench.add_argument("--results", metavar="PATH",
-                       help="also gate on a repro-results/v1 artifact: every "
-                            "trial must be pass/expected")
-    bench.add_argument("--profile", action="store_true",
-                       help="also print deterministic cost attribution "
-                            "(per-opcode) next to the wall numbers; "
-                            "in --compare mode it rides into the trajectory "
-                            "entry")
-    bench.set_defaults(run=cmd_bench)
 
     dash = subparsers.add_parser(
         "dash", help="campaign dashboard: series, SLO verdicts, top spans")

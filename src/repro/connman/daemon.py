@@ -90,7 +90,7 @@ class ConnmanDaemon:
             self.loaded.address_of("dnsproxy_resume"),
             NativeFunction("dnsproxy_resume", _resume_stop),
         )
-        # Emulator runs over this process flush decode-cache counters here.
+        # Emulator runs over this process nest their cpu.run spans here.
         self.loaded.process.observer = self.observer
         if self.observer is not None and self.observer.profiler is not None:
             # Profiled boot: the emulator attributes cost through the

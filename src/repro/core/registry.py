@@ -2,7 +2,7 @@
 
 E1–E16 used to be hand-wired into ``cli.py``'s dispatch table — every new
 paper scenario (fleet campaigns, the exploit × defense × arch matrix) had
-to be re-plumbed through the CLI, chaos runner, report, and bench gate by
+to be re-plumbed through the CLI, chaos runner, and report by
 hand.  This module replaces the wiring with data:
 
 * :class:`ExperimentSpec` — one experiment's declaration: id, title,
@@ -20,8 +20,7 @@ hand.  This module replaces the wiring with data:
   byte for byte.
 * the ``repro-results/v1`` columnar artifact — one JSONL row per trial
   (parameters, derived seed, outcome, metrics, full result table) that
-  ``repro report``, ``repro dash --results``, and the bench
-  ``--compare --results`` gate all read.  Serialization lives in
+  ``repro report`` and ``repro dash --results`` read.  Serialization lives in
   :mod:`repro.core.resume` next to the checkpoint journal.
 
 Seed-derivation rule
@@ -479,7 +478,7 @@ def run_experiment(spec_or_id, *,
     return run
 
 
-# -- rendering helpers shared by the CLI (report / dash / bench gate) --------------
+# -- rendering helpers shared by the CLI (report / dash) ---------------------------
 
 
 def render_registry_table() -> str:
@@ -520,5 +519,5 @@ def render_results_panel(header: Dict[str, Any],
 
 
 def results_ok(rows: Sequence[Dict[str, Any]]) -> bool:
-    """The artifact-level gate verdict the bench/dash consumers share."""
+    """The artifact-level gate verdict the report/dash consumers share."""
     return all(row["outcome"] == "pass" and row["expected"] for row in rows)

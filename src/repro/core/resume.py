@@ -344,7 +344,7 @@ class SweepCheckpoint:
 # experiment identity plus one JSON object per trial
 # (index/params/seed/outcome/expected/metrics/result/error).  Unlike the
 # checkpoint journal it carries no pickles — plain JSON a dashboard, the
-# bench gate, or an external notebook can read — and it is written
+# report, or an external notebook can read — and it is written
 # canonically (sorted keys, no timestamps), so a resumed sweep's artifact
 # is byte-identical to the uninterrupted run's.
 

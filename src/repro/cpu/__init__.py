@@ -1,6 +1,5 @@
 """CPU substrate: x86 and ARMv7 assemblers, decoders and emulators."""
 
-from .cache import DecodeCache
 from .emulator import DEFAULT_STEP_BUDGET, Emulator, ExecutionResult, make_emulator
 from .events import (
     CanaryClobbered,
@@ -29,7 +28,6 @@ __all__ = [
     "check_arch",
     "ControlFlowViolation",
     "CpuError",
-    "DecodeCache",
     "DEFAULT_STEP_BUDGET",
     "EmulationBudgetExceeded",
     "Emulator",

@@ -45,15 +45,10 @@ class ArmEmulator(Emulator):
         address = process.pc
         if address % 4:
             raise IllegalInstruction(address, b"", "misaligned ARM pc")
-        cache = process.decode_cache
-        insn = cache.lookup(address)
-        if insn is None:
-            # fetch() spans contiguous segments (mirroring the x86 window
-            # rule): a word straddling two adjacent executable mappings
-            # decodes; only a genuine gap or a non-X segment faults.
-            raw = process.memory.fetch(address, 4)
-            insn = decode(raw, address, strict=True)
-            cache.record_decode(insn)
+        # fetch() spans contiguous segments (mirroring the x86 window
+        # rule): a word straddling two adjacent executable mappings
+        # decodes; only a genuine gap or a non-X segment faults.
+        insn = decode(process.memory.fetch(address, 4), address, strict=True)
         self._execute(insn)
         return insn
 

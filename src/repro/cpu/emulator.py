@@ -12,7 +12,6 @@ them like the paper does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import TYPE_CHECKING, Optional
 
 from ..mem import MemoryFault
@@ -65,11 +64,6 @@ class Emulator:
 
     def __init__(self, process: Process):
         self.process = process
-        #: Optional per-step wall-time histogram (an object with
-        #: ``observe(value)``; values in microseconds).  Left unset on the
-        #: normal path so observed traces stay deterministic — only the
-        #: benchmark harness opts in.
-        self.step_timer = None
 
     def step(self):  # pragma: no cover - abstract
         """Execute one instruction; returns the executed Instruction."""
@@ -129,10 +123,6 @@ class Emulator:
     def _run_loop(self, max_steps: int = DEFAULT_STEP_BUDGET) -> ExecutionResult:
         process = self.process
         trace = getattr(process, "trace", None)
-        cache = process.decode_cache
-        cache_before = (cache.hits, cache.misses, cache.invalidations,
-                        cache.epoch_flushes)
-        timer = self.step_timer
         profiler = getattr(process, "profiler", None)
         taint = getattr(process, "taint", None)
         if profiler is not None:
@@ -148,12 +138,7 @@ class Emulator:
                     pc = process.pc
                     if trace is not None:
                         trace.record(pc, "native", f"{native.name}(...)")
-                    if timer is not None:
-                        started = perf_counter()
-                        native.invoke(process)
-                        timer.observe((perf_counter() - started) * 1e6)
-                    else:
-                        native.invoke(process)
+                    native.invoke(process)
                     steps += 1
                     if profiler is not None:
                         profiler.record_native(process, native, pc)
@@ -161,16 +146,11 @@ class Emulator:
                 if trace is not None:
                     trace.record(process.pc, "insn", self._peek_text(process.pc))
                 # Snapshot the register file the instruction will *read*
-                # before stepping (outside the timed region): propagation
-                # needs pre-step sp/base values to locate memory operands.
+                # before stepping: propagation needs pre-step sp/base
+                # values to locate memory operands.
                 prev_regs = (dict(process.registers.values)
                              if taint is not None else None)
-                if timer is not None:
-                    started = perf_counter()
-                    insn = self.step()
-                    timer.observe((perf_counter() - started) * 1e6)
-                else:
-                    insn = self.step()
+                insn = self.step()
                 steps += 1
                 if taint is not None:
                     taint.step(process, insn, prev_regs)
@@ -186,23 +166,8 @@ class Emulator:
             return ExecutionResult("fault", steps, str(fault),
                                    fault=fault.with_traceback(None))
         finally:
-            observer = process.observer
             if profiler is not None:
                 profiler.end_run(process)
-            if observer is not None or profiler is not None:
-                deltas = {
-                    "decode_cache_hits": cache.hits - cache_before[0],
-                    "decode_cache_misses": cache.misses - cache_before[1],
-                    "decode_cache_invalidations":
-                        cache.invalidations - cache_before[2],
-                    "decode_cache_epoch_flushes":
-                        cache.epoch_flushes - cache_before[3],
-                }
-                if profiler is not None:
-                    profiler.record_cache(deltas)
-                if observer is not None:
-                    for name, delta in deltas.items():
-                        observer.inc(name, delta)
 
 
 def make_emulator(process: Process) -> Emulator:

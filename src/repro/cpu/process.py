@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..mem import AddressSpace
-from .cache import DecodeCache
 from .isa import check_arch
 from .registers import RegisterFile, make_registers, pc_register, sp_register
 
@@ -66,13 +65,9 @@ class Process:
         #: Optional TraceRecorder; the emulator records executed
         #: instructions and native calls into it when set.
         self.trace = None
-        #: Decoded-instruction cache shared by every emulator run over this
-        #: process (write-invalidated; see :mod:`repro.cpu.cache`).
-        self.decode_cache = DecodeCache(memory)
         #: Optional obs Collector — the process's trace context.  The
-        #: emulator flushes decode-cache counters into it, nests each run
-        #: under a ``cpu.run`` span on its tracer, and captures crash
-        #: postmortems through it when a run faults.
+        #: emulator nests each run under a ``cpu.run`` span on its tracer
+        #: and captures crash postmortems through it when a run faults.
         self.observer = None
         #: Optional :class:`~repro.obs.profiler.DeterministicProfiler`;
         #: the emulator attributes per-opcode cost and takes guest stack

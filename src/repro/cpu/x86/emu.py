@@ -53,13 +53,8 @@ class X86Emulator(Emulator):
         self.process.registers[parent] = (current & mask) | ((value & 0xFF) << shift)
 
     def step(self) -> Instruction:
-        process = self.process
-        address = process.pc
-        cache = process.decode_cache
-        insn = cache.lookup(address)
-        if insn is None:
-            insn = decode(self._fetch_window(address), address, strict=True)
-            cache.record_decode(insn)
+        address = self.process.pc
+        insn = decode(self._fetch_window(address), address, strict=True)
         self._execute(insn)
         return insn
 

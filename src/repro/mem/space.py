@@ -4,17 +4,13 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from .errors import UnmappedAddressError
 from .perms import Perm
 from .segment import Segment
 
 ADDRESS_MASK = 0xFFFFFFFF
-
-#: log2(PAGE_SIZE); page indices key the write-generation table consumed by
-#: the decoded-instruction cache (:mod:`repro.cpu.cache`).
-PAGE_SHIFT = 12
 
 #: Safety valve: the address->segment memo resets past this many entries so
 #: a pathological scan over the whole 32-bit space cannot hold memory.
@@ -39,12 +35,6 @@ class AddressSpace:
         #: address -> segment memo for :meth:`segment_at`; cleared whenever
         #: the mapping table changes.
         self._lookup_memo: Dict[int, Segment] = {}
-        #: Bumped on every map/unmap.  Consumers holding derived state (the
-        #: decode cache, the lookup memo) treat an epoch change as a flush.
-        self.mapping_epoch = 0
-        #: page index -> write generation; bumped by :meth:`write` so cached
-        #: decodes of self-modified code are detected and dropped.
-        self._page_gens: Dict[int, int] = {}
         #: Optional :class:`~repro.obs.taint.ShadowMemory` attached by a
         #: taint engine.  When set, every :meth:`write` updates the shadow:
         #: the ``taint=`` per-byte labels when given, a *clear* of the
@@ -53,7 +43,6 @@ class AddressSpace:
 
     def _mappings_changed(self) -> None:
         self._lookup_memo.clear()
-        self.mapping_epoch += 1
 
     # -- mapping -------------------------------------------------------------
 
@@ -169,32 +158,6 @@ class AddressSpace:
             index += 1
         return cursor - address
 
-    def page_generation(self, page: int) -> int:
-        """Write generation of one page (``address >> PAGE_SHIFT``)."""
-        return self._page_gens.get(page, 0)
-
-    def page_generation_span(self, address: int, length: int) -> Tuple[Tuple[int, int], ...]:
-        """Snapshot ``(page, generation)`` for every page a byte range spans.
-
-        The validation stamp used by the decode cache: cheap
-        (one dict probe per page, no segment resolution) and taken over the
-        exact bytes a cached decode was derived from.
-        """
-        if length <= 0:
-            length = 1
-        page_gens = self._page_gens
-        first = address >> PAGE_SHIFT
-        last = (address + length - 1) >> PAGE_SHIFT
-        return tuple((page, page_gens.get(page, 0)) for page in range(first, last + 1))
-
-    def _note_write(self, address: int, length: int) -> None:
-        """Bump the write generation of every page the write touched."""
-        if length <= 0:
-            return
-        page_gens = self._page_gens
-        for page in range(address >> PAGE_SHIFT, ((address + length - 1) >> PAGE_SHIFT) + 1):
-            page_gens[page] = page_gens.get(page, 0) + 1
-
     def is_mapped(self, address: int, length: int = 1) -> bool:
         """True if the whole ``[address, address+length)`` range is mapped."""
         try:
@@ -244,14 +207,11 @@ class AddressSpace:
         cursor = address
         offset = 0
         covering = self._resolve(address, len(payload))
-        # Bump generations before writing: a permission fault mid-span may
-        # leave earlier segments modified, and a spurious invalidation is
-        # harmless while a missed one would execute stale decodes.
-        self._note_write(address, len(payload))
         if self.taint is not None:
-            # Same ordering rationale as the generation bump above: a
-            # spurious label after a mid-span fault is harmless over-taint,
-            # a missed one would hide real attacker data flow.
+            # Label before writing: a permission fault mid-span may leave
+            # earlier segments modified, and a spurious label is harmless
+            # over-taint while a missed one would hide real attacker data
+            # flow.
             if taint is None:
                 self.taint.clear_range(address, len(payload))
             else:

@@ -59,11 +59,9 @@ from .pcap import (
 )
 from .postmortem import CrashReport, capture_crash_report
 from .profiler import (
-    CACHE_LINES,
     DEFAULT_SAMPLE_INTERVAL,
     DeterministicProfiler,
     ProfileData,
-    WallClockProfiler,
     folded_stacks,
     render_profile,
     speedscope_document,
@@ -81,7 +79,6 @@ from .taint import (
 
 __all__ = [
     "build_dashboard_json",
-    "CACHE_LINES",
     "capture_crash_report",
     "chrome_counter_events",
     "chrome_trace_events",
@@ -136,5 +133,4 @@ __all__ = [
     "validate_chrome_trace",
     "validate_speedscope",
     "validate_taint_summary",
-    "WallClockProfiler",
 ]

@@ -8,15 +8,10 @@ same contract every other ``observer=`` hook honors:
   exactly one step-budget unit, so an opcode's "cost" is its step count
   and its share of the run's budget.  Native (libc model) invocations
   cost one unit too and appear as ``native:<name>`` lines, which makes
-  the profiler's summed step count equal the run loop's ``steps`` and
-  the benchmark harness's ``step_timer.count`` on the same run.
+  the profiler's summed step count equal the run loop's ``steps`` on
+  the same run.
 * **Per-address heat** — how often each guest pc executed (the map a
   JIT-threshold or trace-selection heuristic would consume).
-* **Cache attribution** — the same decode-cache deltas the run loop
-  flushes into observer counters, recorded per cause (per-entry
-  page-generation invalidation vs whole-cache mapping-epoch flush) so
-  the profiler lines reconcile exactly with the ``decode_cache_*``
-  counters.
 * **Guest stack samples** — every ``sample_interval`` completed steps
   the profiler reuses the postmortem return-address walk to capture the
   guest call stack, symbolizes it through the loader's symbol tables
@@ -37,23 +32,16 @@ Worker merge mirrors :meth:`~repro.obs.spans.Tracer.adopt`: workers
 ship a picklable :class:`ProfileData` snapshot and the parent folds
 them in task order — pure counter addition, so a ``workers=N`` sweep's
 merged profile is byte-identical to the sequential sweep's.
-
-Wall-clock correlation is a *separate*, opt-in harness layer
-(:class:`WallClockProfiler`), never merged into :class:`ProfileData` —
-the same split PR 6 made between deterministic results artifacts and
-wall-dependent sweep telemetry.
 """
 
 from __future__ import annotations
 
 import json
-from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from .postmortem import _return_walk
 
 PROFILE_SCHEMA = "repro-profile/v1"
-WALL_SCHEMA = "repro-wallclock/v1"
 
 #: Default stack-sampling period, in completed guest steps.  Prime, so
 #: sample points do not phase-lock with loop bodies, and small enough
@@ -64,16 +52,6 @@ DEFAULT_SAMPLE_INTERVAL = 23
 #: Heat-map rows kept in exports (full maps stay in memory; exports cap
 #: so campaign artifacts stay small).
 EXPORT_LIMIT = 64
-
-#: The stable cache-attribution line names, in export order.  They are
-#: exactly the observer counters the run loop flushes, so a test can
-#: assert ``profiler.data.cache[name] == collector.metrics[name]``.
-CACHE_LINES = (
-    "decode_cache_hits",
-    "decode_cache_misses",
-    "decode_cache_invalidations",
-    "decode_cache_epoch_flushes",
-)
 
 
 class ProfileData:
@@ -89,8 +67,6 @@ class ProfileData:
         self.opcodes: Dict[str, int] = {}
         #: guest address -> times an instruction at it completed.
         self.heat: Dict[int, int] = {}
-        #: cache-attribution lines (see :data:`CACHE_LINES`).
-        self.cache: Dict[str, int] = {}
         #: folded guest stack (outermost-first frame names) -> samples.
         self.samples: Dict[Tuple[str, ...], int] = {}
         self.sample_count = 0
@@ -110,8 +86,6 @@ class ProfileData:
             self.opcodes[name] = self.opcodes.get(name, 0) + count
         for address, count in other.heat.items():
             self.heat[address] = self.heat.get(address, 0) + count
-        for name, count in other.cache.items():
-            self.cache[name] = self.cache.get(name, 0) + count
         for stack, count in other.samples.items():
             self.samples[stack] = self.samples.get(stack, 0) + count
         self.sample_count += other.sample_count
@@ -124,7 +98,6 @@ class ProfileData:
         data = ProfileData(self.sample_interval)
         data.opcodes = dict(self.opcodes)
         data.heat = dict(self.heat)
-        data.cache = dict(self.cache)
         data.samples = dict(self.samples)
         data.sample_count = self.sample_count
         data.steps = self.steps
@@ -158,10 +131,6 @@ class ProfileData:
                 for address, count in self.hot_addresses(EXPORT_LIMIT)
             ],
             "heat_sites": len(self.heat),
-            "cache": {
-                name: self.cache.get(name, 0)
-                for name in CACHE_LINES if name in self.cache
-            },
             "sample_count": self.sample_count,
             "samples": {
                 ";".join(stack): count
@@ -275,12 +244,6 @@ class DeterministicProfiler:
             if self._since >= self.sample_interval:
                 self._since = 0
                 self._take_sample(process)
-
-    def record_cache(self, deltas: Dict[str, int]) -> None:
-        """Run-loop exit: fold in this run's cache-counter deltas."""
-        cache = self.data.cache
-        for name, delta in deltas.items():
-            cache[name] = cache.get(name, 0) + delta
 
     def _take_sample(self, process) -> None:
         frames = [
@@ -420,7 +383,7 @@ def validate_speedscope(payload: Any) -> int:
 
 
 def render_profile(data: ProfileData, *, top: int = 10) -> str:
-    """Deterministic text report: opcode/cache attribution tables."""
+    """Deterministic text report: the opcode attribution table."""
     lines = [
         f"deterministic profile: {data.steps} steps "
         f"({data.native_steps} native, {data.runs} runs)",
@@ -433,69 +396,8 @@ def render_profile(data: ProfileData, *, top: int = 10) -> str:
         for name, count in rows:
             lines.append(
                 f"    {name:<{width}}  {count:>10}  {100.0 * count / total:5.1f}%")
-    if data.cache:
-        lines.append("  cache attribution:")
-        for name in CACHE_LINES:
-            if name in data.cache:
-                lines.append(f"    {name:<32} {data.cache[name]:>10}")
     lines.append(
         f"  stack samples: {data.sample_count} "
         f"(every {data.sample_interval} steps)"
         if data.sample_interval else "  stack samples: disabled")
     return "\n".join(lines)
-
-
-# -- wall-clock correlation (opt-in harness layer) -----------------------------
-
-
-class WallSection:
-    """One labeled wall-clock measurement with its simulated-step count."""
-
-    def __init__(self, label: str):
-        self.label = label
-        self.wall_seconds = 0.0
-        self.steps = 0
-        self._started: Optional[float] = None
-
-    def __enter__(self) -> "WallSection":
-        self._started = perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.wall_seconds += perf_counter() - self._started
-        self._started = None
-
-
-class WallClockProfiler:
-    """Opt-in wall-time correlation for bench runs.
-
-    Deliberately a *separate* layer from :class:`DeterministicProfiler`
-    (the PR 6 telemetry split): wall timings are machine-dependent, so
-    they are never folded into :class:`ProfileData` and never touch the
-    deterministic artifacts — they only annotate benchmark output so a
-    simulated-cost line can be read as steps/second on this machine.
-    """
-
-    def __init__(self):
-        self.sections: List[WallSection] = []
-
-    def section(self, label: str) -> WallSection:
-        section = WallSection(label)
-        self.sections.append(section)
-        return section
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": WALL_SCHEMA,
-            "sections": [
-                {
-                    "label": section.label,
-                    "wall_seconds": round(section.wall_seconds, 6),
-                    "steps": section.steps,
-                    "steps_per_second": round(
-                        section.steps / section.wall_seconds, 1)
-                    if section.wall_seconds > 0 else None,
-                }
-                for section in self.sections
-            ],
-        }

@@ -104,9 +104,8 @@ class ShadowMemory:
     """Sparse per-byte label map shadowing one :class:`AddressSpace`.
 
     Only tainted bytes occupy storage; a byte absent from the map is
-    clean.  The map is updated *before* the real segment write lands
-    (mirroring the decode-cache invalidation ordering in
-    ``AddressSpace.write``): a permission fault mid-span may leave a
+    clean.  ``AddressSpace.write`` updates the map *before* the real
+    segment write lands: a permission fault mid-span may leave a
     spurious label behind, which is harmless over-taint, while the
     reverse ordering could silently drop real taint.
     """

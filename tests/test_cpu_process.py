@@ -1,14 +1,19 @@
-"""Process model, syscall layer, and native-function ABI."""
+"""Process model, syscall layer, native-function ABI, and the run loop."""
+
+import json
 
 import pytest
 
 from repro.cpu import NativeFunction, Process, TraceRecorder, make_emulator
+from repro.cpu.events import IllegalInstruction
+from repro.cpu.registers import X86_REG8, X86_REGISTERS
+from repro.cpu.x86.emu import X86Emulator
 from repro.cpu.native import NativeCallContext
 from repro.cpu.syscalls import ENOSYS, dispatch
 from repro.cpu.events import _EmulationStop
 from repro.cpu.x86 import asm as x86
 from repro.cpu.arm import asm as arm
-from repro.mem import AddressSpace, Perm, Segment, WxViolation
+from repro.mem import AddressSpace, Perm, Segment, UnmappedAddressError, WxViolation
 
 
 def make_process(arch="x86"):
@@ -253,7 +258,7 @@ class TestRunLoop:
         process = loaded_process("x86", [Segment(".text", 0x1000, 0x100, Perm.RX)],
                                  {0x1000: code})
         emulator = make_emulator(process)
-        # Warm the decode cache over every instruction first.
+        # Run every instruction once first.
         process.pc = 0x1000
         emulator.run(max_steps=20)
         calls = []
@@ -274,16 +279,8 @@ class TestRunLoop:
         assert calls == ["installer", "probe"]
         assert result.reason == "fault" and result.steps == 3
 
-    def test_step_timer_times_natives(self):
-        """The step timer observes every dispatch, native calls included."""
-
-        class Recorder:
-            def __init__(self):
-                self.count = 0
-
-            def observe(self, value):
-                self.count += 1
-
+    def test_native_call_counts_as_one_step(self):
+        """A native dispatch costs one step of the budget, like an insn."""
         calls = []
 
         def handler(context):
@@ -302,14 +299,11 @@ class TestRunLoop:
         process.register_native(0x5000, NativeFunction("stub", handler))
         process.registers["esp"] = 0x20800
         process.pc = 0x1000
-        emulator = make_emulator(process)
-        timer = Recorder()
-        emulator.step_timer = timer
-        result = emulator.run(max_steps=50)
-        assert calls  # the native actually ran
+        result = make_emulator(process).run(max_steps=50)
+        assert calls == [0x5000]  # the native ran exactly once
         assert result.reason == "fault"
         # push, jmp, native invoke, 3 nops; the hlt fault ends the run.
-        assert timer.count == result.steps == 6
+        assert result.steps == 6
 
     @pytest.mark.parametrize("first,second,taken", [
         ("xor", "inc", False),  # inc eax leaves 1: ZF clear
@@ -372,7 +366,7 @@ class TestRunLoop:
         process = loaded_process("x86", [Segment("rwx", 0x1000, 0x1000, Perm.RWX)],
                                  {0x1000: code})
         emulator = make_emulator(process)
-        # First pass stores to scratch, so the inc edx is decoded and cached.
+        # First pass stores to scratch, so the inc edx runs as written.
         process.registers["ebx"] = 0x1800
         process.pc = 0x1000
         emulator.run(max_steps=20)
@@ -397,7 +391,7 @@ class TestRunLoop:
                                  {0x10000: code})
         emulator = make_emulator(process)
         process.registers["r0"] = patch
-        # First pass stores to scratch, so the add r3 is decoded and cached.
+        # First pass stores to scratch, so the add r3 runs as written.
         process.registers["r1"] = 0x10800
         process.pc = 0x10000
         assert emulator.run(max_steps=10).reason == "exit"
@@ -418,4 +412,259 @@ class TestRunLoop:
         assert (result.reason, result.signal, result.steps) == ("fault", "SIGSEGV", 0)
         assert isinstance(result.fault, WxViolation)
         assert process.registers["eax"] == 0
-        assert len(process.decode_cache) == 0
+
+    # -- guest code changing under the process -------------------------------
+    #
+    # Every step fetches, W^X-checks and decodes the bytes in memory now:
+    # a write, a remap at the same base, or a write to either page of a
+    # page-straddling instruction is executed on the next step or run.
+
+    def test_self_modifying_code_executes_new_bytes(self):
+        process = loaded_process("x86", [Segment("rwx", 0x1000, 0x100, Perm.RWX)],
+                                 {0x1000: b"\x40"})  # inc eax
+        process.pc = 0x1000
+        emulator = X86Emulator(process)
+        emulator.step()
+        assert process.registers["eax"] == 1
+        process.memory.write(0x1000, b"\x41")  # overwrite with inc ecx
+        process.pc = 0x1000
+        emulator.step()
+        assert process.registers["ecx"] == 1
+        assert process.registers["eax"] == 1
+
+    def test_remap_at_same_base_executes_new_code(self):
+        process = loaded_process("x86", [Segment("old", 0x1000, 0x100, Perm.RX)],
+                                 {0x1000: b"\x40"})  # inc eax
+        process.pc = 0x1000
+        emulator = X86Emulator(process)
+        emulator.step()
+        space = process.memory
+        space.unmap("old")
+        space.map(Segment("new", 0x1000, 0x100, Perm.RX))
+        space.write(0x1000, b"\x41", check=False)  # inc ecx
+        process.pc = 0x1000
+        emulator.step()
+        assert process.registers["ecx"] == 1
+
+    def test_repeated_remap_at_same_base_executes_each_rounds_code(self):
+        # Three map/write/execute/unmap rounds at the same base: each round
+        # must execute its own fresh bytes, never a prior round's.
+        targets = ("eax", "ecx", "edx")
+        opcodes = (b"\x40", b"\x41", b"\x42")
+        process = loaded_process("x86", [Segment("seed", 0x2000, 0x100, Perm.RX)], {})
+        emulator = X86Emulator(process)
+        for round_index, opcode in enumerate(opcodes):
+            name = f"round{round_index}"
+            process.memory.map(Segment(name, 0x1000, 0x100, Perm.RX))
+            process.memory.write(0x1000, opcode, check=False)
+            process.pc = 0x1000
+            emulator.step()
+            process.memory.unmap(name)
+        for target in targets:
+            assert process.registers[target] == 1, target
+
+    def test_step_enforces_wx(self):
+        process = loaded_process("x86", [Segment("data", 0x1000, 0x100, Perm.RW)], {})
+        process.memory.write(0x1000, b"\x40")
+        process.pc = 0x1000
+        with pytest.raises(WxViolation):
+            X86Emulator(process).step()
+
+    @pytest.mark.parametrize("written,expected", [
+        (0x2001, 0x11553344),  # the 0x22 immediate byte, second page
+        (0x1FFF, 0x11223355),  # the 0x44 immediate byte, first page
+    ], ids=["second-page", "first-page"])
+    def test_write_to_either_page_of_straddling_insn_is_seen(self, written, expected):
+        # mov eax, imm32 at 0x1FFE: opcode and low immediate byte on the
+        # first page, the immediate's last three bytes on the second.
+        process = loaded_process("x86", [Segment("rwx", 0x1000, 0x2000, Perm.RWX)],
+                                 {0x1FFE: b"\xb8\x44\x33\x22\x11"})
+        process.pc = 0x1FFE
+        emulator = X86Emulator(process)
+        emulator.step()
+        assert process.registers["eax"] == 0x11223344
+        process.memory.write(written, b"\x55")
+        process.pc = 0x1FFE
+        emulator.step()
+        assert process.registers["eax"] == expected
+
+    def test_rerun_after_external_write_executes_new_bytes(self):
+        process = loaded_process("x86", [Segment("rwx", 0x1000, 0x1000, Perm.RWX)],
+                                 {0x1000: b"\x40\x40" + x86.hlt()})
+        process.pc = 0x1000
+        emulator = make_emulator(process)
+        emulator.run(max_steps=20)
+        assert process.registers["eax"] == 2
+        process.memory.write(0x1000, b"\x41\x41")  # now inc ecx twice
+        process.pc = 0x1000
+        emulator.run(max_steps=20)
+        assert process.registers["ecx"] == 2
+        assert process.registers["eax"] == 2
+
+    def test_rerun_after_remap_at_same_base_executes_new_code(self):
+        process = loaded_process("x86", [Segment("old", 0x1000, 0x1000, Perm.RX)],
+                                 {0x1000: b"\x40" + x86.hlt()})
+        process.pc = 0x1000
+        emulator = make_emulator(process)
+        emulator.run(max_steps=20)
+        assert process.registers["eax"] == 1
+        space = process.memory
+        space.unmap("old")
+        space.map(Segment("new", 0x1000, 0x1000, Perm.RX))
+        space.write(0x1000, b"\x41" + x86.hlt(), check=False)
+        process.pc = 0x1000
+        emulator.run(max_steps=20)
+        assert process.registers["ecx"] == 1
+        assert process.registers["eax"] == 1
+
+    def test_rerun_after_second_page_write_executes_new_bytes(self):
+        # 5-byte mov eax, imm32 at 0x1FFE: bytes span pages 1 and 2.
+        process = loaded_process(
+            "x86", [Segment("rwx", 0x1000, 0x2000, Perm.RWX)],
+            {0x1FFE: x86.mov_reg_imm32("eax", 0x11223344) + x86.hlt()})
+        process.pc = 0x1FFE
+        emulator = make_emulator(process)
+        emulator.run(max_steps=10)
+        assert process.registers["eax"] == 0x11223344
+        # Rewrite one immediate byte that lives on the *second* page
+        # (0x2001 holds the 0x22 of the little-endian immediate).
+        process.memory.write(0x2001, b"\x55")
+        process.pc = 0x1FFE
+        emulator.run(max_steps=10)
+        assert process.registers["eax"] == 0x11553344
+
+    # -- instruction fetch window ---------------------------------------------
+
+    def test_x86_insn_straddling_contiguous_segments_decodes(self):
+        # mov eax, 0x11223344 starts 2 bytes before the segment boundary.
+        process = loaded_process(
+            "x86",
+            [Segment("lo", 0x400000, 0x1000, Perm.RX),
+             Segment("hi", 0x401000, 0x1000, Perm.RX)],
+            {0x400FFE: b"\xb8\x44\x33\x22\x11"},
+        )
+        process.pc = 0x400FFE
+        X86Emulator(process).step()
+        assert process.registers["eax"] == 0x11223344
+        assert process.pc == 0x400FFE + 5
+
+    def test_x86_insn_truncated_at_genuine_gap_faults(self):
+        process = loaded_process("x86", [Segment("lo", 0x400000, 0x1000, Perm.RX)],
+                                 {0x400FFE: b"\xb8\x44"})
+        process.pc = 0x400FFE
+        with pytest.raises(IllegalInstruction):
+            X86Emulator(process).step()
+
+    def test_arm_word_straddling_contiguous_segments_decodes(self):
+        process = loaded_process(
+            "arm",
+            [Segment("lo", 0x10000, 2, Perm.RX),
+             Segment("hi", 0x10002, 0x1000, Perm.RX)],
+            {0x10000: arm.add_imm("r1", "r1", 1)},
+        )
+        process.pc = 0x10000
+        make_emulator(process).step()
+        assert process.registers["r1"] == 1
+
+    def test_contiguous_span_stops_at_gap(self):
+        space = AddressSpace()
+        space.map(Segment("a", 0x1000, 0x100, Perm.RX))
+        space.map(Segment("b", 0x1100, 0x100, Perm.RX))
+        space.map(Segment("c", 0x2000, 0x100, Perm.RX))
+        assert space.contiguous_span(0x10F0, 64) == 64  # spans a→b
+        assert space.contiguous_span(0x11F0, 64) == 16  # gap after b
+        with pytest.raises(UnmappedAddressError):
+            space.contiguous_span(0x3000, 4)
+
+    # -- x86 8-bit register aliasing -------------------------------------------
+
+    @pytest.mark.parametrize("name", X86_REG8)
+    def test_write_reg8_touches_exactly_one_byte(self, name):
+        """al/cl/dl/bl write the low byte; ah/ch/dh/bh the second byte."""
+        process = loaded_process("x86", [Segment(".text", 0x1000, 0x100, Perm.RX)], {})
+        emulator = X86Emulator(process)
+        for parent in X86_REGISTERS:
+            process.registers[parent] = 0x11223344
+        emulator._write_reg8(name, 0xAB)
+        index = X86_REG8.index(name)
+        parent = X86_REGISTERS[index & 3]
+        expected = 0x112233AB if index < 4 else 0x1122AB44
+        assert process.registers[parent] == expected, name
+        for other in X86_REGISTERS:
+            if other != parent:
+                assert process.registers[other] == 0x11223344, (name, other)
+
+    def test_mov_r8_imm8_executes_into_high_byte(self):
+        # mov ah, 0x99 (0xB0+reg encoding, reg index 4 = ah)
+        process = loaded_process("x86", [Segment(".text", 0x1000, 0x100, Perm.RX)],
+                                 {0x1000: b"\xb4\x99"})
+        process.registers["eax"] = 0x11223344
+        process.pc = 0x1000
+        X86Emulator(process).step()
+        assert process.registers["eax"] == 0x11229944
+
+    # -- unmap semantics -------------------------------------------------------
+
+    def test_unmap_ambiguous_duplicate_name_raises(self):
+        space = AddressSpace()
+        space.map(Segment("dup", 0x1000, 0x100, Perm.RW))
+        space.map(Segment("dup", 0x2000, 0x100, Perm.RW))
+        with pytest.raises(ValueError, match="ambiguous"):
+            space.unmap("dup")
+        assert space.segment_at(0x1000).base == 0x1000
+        assert space.segment_at(0x2000).base == 0x2000
+
+    def test_unmap_unknown_name_raises_keyerror(self):
+        with pytest.raises(KeyError):
+            AddressSpace().unmap("ghost")
+
+    def test_map_unmap_remap_same_base_resolves_new_segment(self):
+        space = AddressSpace()
+        space.map(Segment("old", 0x1000, 0x100, Perm.RW))
+        space.write_u32(0x1000, 0xAAAAAAAA)  # warm the resolution memo
+        assert space.segment_at(0x1000).name == "old"
+        space.unmap("old")
+        with pytest.raises(UnmappedAddressError):
+            space.segment_at(0x1000)
+        space.map(Segment("new", 0x1000, 0x100, Perm.RW))
+        assert space.segment_at(0x1000).name == "new"
+        assert space.read_u32(0x1000) == 0  # fresh zeroed backing
+
+    # -- outcome parity across worker counts -----------------------------------
+
+    def test_scenarios_match_at_two_workers(self):
+        from repro.core import PAPER_MATRIX, run_scenario, run_tasks
+
+        scenarios = PAPER_MATRIX[:3]
+        sequential = run_tasks(_scenario_row, scenarios, workers=1)
+        parallel = run_tasks(_scenario_row, scenarios, workers=2)
+        assert parallel == sequential
+        assert sequential == [run_scenario(scenario).row() for scenario in scenarios]
+
+    def test_bruteforce_match_at_two_workers(self):
+        from repro.core import run_tasks
+        from repro.exploit import BruteForceTrial, run_bruteforce_trial
+
+        trials = [BruteForceTrial(victim_seed=seed, attacker_seed=seed + 1,
+                                  max_attempts=256, entropy_pages=16)
+                  for seed in (7, 9)]
+        sequential = run_tasks(run_bruteforce_trial, trials, workers=1)
+        parallel = run_tasks(run_bruteforce_trial, trials, workers=2)
+        assert parallel == sequential
+        assert sequential[0].succeeded
+
+    def test_chaos_sweep_byte_identical_at_two_workers(self):
+        from repro.core import run_chaos_sweep
+
+        kwargs = dict(queries_per_rate=6, attack_budget=6)
+        sequential = run_chaos_sweep((0.0, 0.4), workers=1, **kwargs)
+        parallel = run_chaos_sweep((0.0, 0.4), workers=2, **kwargs)
+        assert json.dumps(parallel.to_dict(), sort_keys=True) == \
+            json.dumps(sequential.to_dict(), sort_keys=True)
+
+
+def _scenario_row(scenario):
+    """Worker for the parity test: one scenario's table row."""
+    from repro.core import run_scenario
+
+    return run_scenario(scenario).row()

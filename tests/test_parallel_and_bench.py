@@ -1,24 +1,18 @@
-"""Parallel sweep runner determinism and the benchmark baseline."""
+"""Parallel sweep runner determinism and worker metrics merge."""
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.core import (
-    collect_baseline,
     e14_reliability,
     resolve_workers,
     run_chaos_sweep,
     run_experiment,
     run_tasks,
-    validate_baseline,
 )
 from repro.obs import Collector
 from repro.obs.metrics import Histogram, MetricsRegistry
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "BENCH.json"
-
 
 def _square(value):
     return value * value
@@ -158,33 +152,3 @@ class TestMetricsMerge:
         for seed in (3, 2, 1):
             backward.merge(worker_registry(seed))
         assert forward.to_dict() == backward.to_dict()
-
-
-class TestBench:
-    def test_collect_baseline_validates_and_beats_ratio_floor(self):
-        payload = validate_baseline(collect_baseline(steps=1200))
-        assert [e["kind"] for e in payload["benchmarks"]] == ["decode-cache"] * 2
-        for entry in payload["benchmarks"]:
-            assert entry["decode_call_ratio"] >= 3.0
-            assert entry["baseline"]["decode_calls"] == 1200
-            # 9-insn loop: each distinct instruction decodes once.
-            assert entry["cached"]["decode_calls"] == 9
-
-    def test_committed_baseline_validates(self):
-        assert BENCH_PATH.exists(), "benchmarks/BENCH.json must be committed"
-        payload = validate_baseline(json.loads(BENCH_PATH.read_text()))
-        assert {entry["arch"] for entry in payload["benchmarks"]} == {"x86", "arm"}
-        assert {entry["kind"] for entry in payload["benchmarks"]} == \
-            {"decode-cache"}
-        for entry in payload["benchmarks"]:
-            assert entry["wall_speedup"] > 1.0
-
-    def test_validate_rejects_wrong_schema(self):
-        with pytest.raises(ValueError, match="schema"):
-            validate_baseline({"schema": "nope", "benchmarks": []})
-
-    def test_validate_rejects_cache_that_never_hit(self):
-        payload = collect_baseline(steps=1200)
-        payload["benchmarks"][0]["decode_call_ratio"] = 1.0
-        with pytest.raises(ValueError, match="acceptance floor"):
-            validate_baseline(payload)

@@ -1,12 +1,10 @@
 """Deterministic profiling: attribution accuracy and observation purity.
 
 The profiler's contract has three legs, and this file pins all of them:
-its step accounting must agree exactly with the run loop's (and with the
-``step_timer`` benchmark path), its attribution output must be
-deterministic across repeated runs and worker counts, and attaching it
-must change no outcome —
-the observed scenarios behind E2, E3, and E16 produce the same verdicts
-profiled or not.
+its step accounting must agree exactly with the run loop's, its
+attribution output must be deterministic across repeated runs and worker
+counts, and attaching it must change no outcome — the observed scenarios
+behind E2, E3, and E16 produce the same verdicts profiled or not.
 """
 
 import json
@@ -16,7 +14,6 @@ import pytest
 from repro.cpu import Process, make_emulator
 from repro.mem import AddressSpace, Perm, Segment
 from repro.obs import (
-    CACHE_LINES,
     Collector,
     DeterministicProfiler,
     ProfileData,
@@ -44,30 +41,27 @@ def profiled_run(max_steps, *, sample_interval=0):
     return result, profiler
 
 
-class _StepTimer:
-    """Minimal ``step_timer`` stand-in: counts per-step observations."""
-
-    def __init__(self):
-        self.count = 0
-
-    def observe(self, value):
-        self.count += 1
-
-
 class TestStepAccounting:
-    def test_step_timer_count_equals_profiler_summed_steps(self):
-        # The benchmark path (step_timer) and the profiler must account
-        # for exactly the same number of step-budget units.
-        timed = loop_process()
-        timer = _StepTimer()
-        emulator = make_emulator(timed)
-        emulator.step_timer = timer
-        timed_result = emulator.run(max_steps=500)
+    def test_profiler_steps_equal_run_loop_steps_with_natives(self):
+        # The run loop and the profiler must account for exactly the same
+        # step-budget units, and a native call is one unit in both.
+        from repro.cpu.native import NativeFunction
 
-        result, profiler = profiled_run(500)
-        assert timer.count == timed_result.steps == 500
-        assert profiler.data.steps == result.steps == timer.count
-        assert sum(profiler.data.opcodes.values()) == timer.count
+        def handler(context):
+            context.process.pc = 0x1000
+
+        process = loop_process()
+        profiler = DeterministicProfiler(sample_interval=0)
+        process.profiler = profiler
+        # inc, inc, then the native back to the top: three steps a lap.
+        process.register_native(0x1002, NativeFunction("probe", handler))
+        result = make_emulator(process).run(max_steps=99)
+        data = profiler.data
+        assert (result.reason, result.signal) == ("fault", "SIGKILL")
+        assert data.steps == result.steps == 99
+        assert sum(data.opcodes.values()) == result.steps
+        assert data.native_steps == data.opcodes["native:probe"] == 33
+        assert data.opcodes["inc"] == 66
 
     def test_opcode_and_heat_lines_sum_to_total(self):
         result, profiler = profiled_run(500)
@@ -126,19 +120,6 @@ class TestAttributionDeterminism:
         assert folded_stacks(profiler.data) == ".text 14\n"
 
 
-class TestCacheReconciliation:
-    def test_profiler_cache_lines_match_observer_counters(self):
-        from repro.core import run_observed_attack
-
-        collector = Collector()
-        profiler = collector.attach_profiler(DeterministicProfiler())
-        run_observed_attack(observer=collector)
-        counters = collector.metrics.counters()
-        for name in CACHE_LINES:
-            assert profiler.data.cache.get(name, 0) == counters.get(name, 0), name
-        assert profiler.data.cache["decode_cache_misses"] > 0
-
-
 class TestWorkerMergeParity:
     def test_chaos_sweep_profile_merges_byte_identical(self):
         from repro.core import run_chaos_sweep
@@ -194,18 +175,13 @@ class TestOutcomeParity:
             if profiled:
                 collector.attach_profiler(DeterministicProfiler())
             run = run_observed_attack(level_label=level, observer=collector)
-            counters = {
-                name: value
-                for name, value in collector.metrics.counters().items()
-                if not name.startswith("decode_cache_")
-            }
             outcomes.append({
                 "event": run.event.kind.value if run.event else None,
                 "error": run.error,
                 "exploit": run.exploit.name if run.exploit else None,
                 "succeeded": run.succeeded,
                 "spans": collector.tracer.to_dicts(),
-                "counters": counters,
+                "counters": collector.metrics.counters(),
             })
         assert outcomes[0] == outcomes[1]
 
@@ -269,29 +245,3 @@ class TestFlamegraphFormats:
         assert profiler.data.sample_count == 0
         assert profiler.folded() == ""
         assert profiler.data.steps == 300  # attribution still runs
-
-
-class TestFlushCauseAttribution:
-    def test_native_registration_attributed_separately(self):
-        from repro.cpu.native import NativeFunction
-
-        process = loop_process()
-        profiler = DeterministicProfiler(sample_interval=0)
-        process.profiler = profiler
-        emulator = make_emulator(process)
-        emulator.run(max_steps=50)
-
-        def handler(context):
-            context.process.pc = 0x1000
-
-        # A native registered over already-decoded code is dispatched by
-        # address before any fetch: its own line, and no cache flush.
-        process.register_native(0x1002, NativeFunction("probe", handler))
-        process.pc = 0x1000
-        emulator.run(max_steps=50)
-        data = profiler.data
-        assert data.steps == 100
-        assert data.native_steps == data.opcodes["native:probe"] == 16
-        assert data.cache["decode_cache_misses"] == 9
-        assert data.cache["decode_cache_invalidations"] == 0
-        assert data.cache["decode_cache_epoch_flushes"] == 0

@@ -189,6 +189,21 @@ class TestResultsArtifact:
         assert main(["report", "--results", path]) == 2
         assert "row 1: must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tamper", [
+        lambda row: row.update(expected=False),
+        lambda row: row.update(outcome="quarantined", result=None,
+                               error={"attempts": 3, "error": "timeout"}),
+    ], ids=["unexpected", "quarantined"])
+    def test_report_exits_one_on_a_failed_row(self, tmp_path, capsys, tamper):
+        run, path = _artifact(tmp_path)
+        assert main(["report", "--results", path]) == 0
+        rows = [dict(row) for row in run.artifact_rows()]
+        tamper(rows[1])
+        write_results(path, run.artifact_header(), rows)
+        capsys.readouterr()
+        assert main(["report", "--results", path]) == 1
+        assert "E14" in capsys.readouterr().out  # the tables still render
+
     def test_loader_rejects_tampered_file(self, tmp_path):
         _, path = _artifact(tmp_path)
         lines = Path(path).read_text().splitlines()
