@@ -41,7 +41,39 @@ def profiled_run(max_steps, *, sample_interval=0):
     return result, profiler
 
 
+class _StepTimer:
+    """Minimal per-step counter on the run loop's profiler hooks."""
+
+    def __init__(self):
+        self.count = 0
+
+    def begin_run(self):
+        pass
+
+    def end_run(self, process):
+        pass
+
+    def record_insn(self, process, insn):
+        self.count += 1
+
+    def record_native(self, process, native, address):
+        self.count += 1
+
+
 class TestStepAccounting:
+    def test_step_timer_count_equals_profiler_summed_steps(self):
+        # An independent per-step counter and the profiler must account
+        # for exactly the same number of step-budget units.
+        timed = loop_process()
+        timer = _StepTimer()
+        timed.profiler = timer
+        timed_result = make_emulator(timed).run(max_steps=500)
+
+        result, profiler = profiled_run(500)
+        assert timer.count == timed_result.steps == 500
+        assert profiler.data.steps == result.steps == timer.count
+        assert sum(profiler.data.opcodes.values()) == timer.count
+
     def test_profiler_steps_equal_run_loop_steps_with_natives(self):
         # The run loop and the profiler must account for exactly the same
         # step-budget units, and a native call is one unit in both.
@@ -245,3 +277,30 @@ class TestFlamegraphFormats:
         assert profiler.data.sample_count == 0
         assert profiler.folded() == ""
         assert profiler.data.steps == 300  # attribution still runs
+
+
+class TestFlushCauseAttribution:
+    def test_native_registration_attributed_separately(self):
+        from repro.cpu.native import NativeFunction
+
+        process = loop_process()
+        profiler = DeterministicProfiler(sample_interval=0)
+        process.profiler = profiler
+        emulator = make_emulator(process)
+        emulator.run(max_steps=50)
+
+        def handler(context):
+            context.process.pc = 0x1000
+
+        # A native registered over code that already ran is dispatched by
+        # address before any fetch, and gets its own line.
+        process.register_native(0x1002, NativeFunction("probe", handler))
+        process.pc = 0x1000
+        emulator.run(max_steps=50)
+        data = profiler.data
+        assert data.steps == 100
+        assert data.native_steps == data.opcodes["native:probe"] == 16
+        # First run: 5 laps of 8 inc + jmp, then 5 inc; second run: 16
+        # laps of inc, inc, native, then 2 inc.
+        assert data.opcodes["inc"] == 45 + 34
+        assert data.opcodes["jmp"] == 5
